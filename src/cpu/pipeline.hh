@@ -177,8 +177,7 @@ class Pipeline : public stats::Group
 
     /**
      * Instructions fetched from the source so far (monotonic across
-     * resetStats). The batched and sampled drivers use this to
-     * synchronise multiple pipelines against one shared decode ring
+     * resetStats). The sampled driver uses this to size its windows
      * and to drain exactly the in-flight window.
      */
     std::uint64_t fetchedCount() const { return numFetched; }

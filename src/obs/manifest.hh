@@ -48,10 +48,7 @@ struct ManifestInfo
     bool traceReplay = false;        ///< Replayed a recorded trace?
     /**
      * The engine that effectively drove the run: "live", "replay" or
-     * "sampled". Batched multi-config replay records "replay" — its
-     * results are byte-identical to independent replays, and the
-     * manifest must stay byte-identical too (the farm's merge
-     * comparison depends on it).
+     * "sampled".
      */
     std::string engine = "live";
     std::uint64_t maxCycles = 0;     ///< Cycle budget (0 = unlimited).

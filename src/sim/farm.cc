@@ -556,26 +556,10 @@ spoolGrid(const GridSpec &spec, const std::string &root, int numShards)
     }
 
     spec.writeFile(sp.gridPath());
-    // Batched points shard by column (program), not by id: a column
-    // split across shards would land on different workers and lose
-    // the shared trace pass. Sharding is still only a locality hint —
-    // stealing and the worker-side column claim keep correctness
-    // independent of the assignment.
-    std::map<std::string, int> columnShard;
-    for (const GridJob &job : spec.jobs) {
-        int shard;
-        if (job.engine == Engine::Batched) {
-            auto [it, inserted] = columnShard.try_emplace(
-                programKey(job),
-                static_cast<int>(columnShard.size()) % numShards);
-            (void)inserted;
-            shard = it->second;
-        } else {
-            shard = static_cast<int>(
-                job.id % static_cast<std::uint64_t>(numShards));
-        }
-        writeJobFile(sp, job, shard);
-    }
+    for (const GridJob &job : spec.jobs)
+        writeJobFile(sp, job,
+                     static_cast<int>(
+                         job.id % static_cast<std::uint64_t>(numShards)));
 }
 
 JobRecord
@@ -837,6 +821,30 @@ requeueIncomplete(const std::string &root, bool retryQuarantined)
 namespace {
 
 /**
+ * The one GridJob -> RunOptions mapping. Farm workers and the serial
+ * reference both build a point's options here, so they cannot drift
+ * apart — byte-identical merges depend on it. A worker adds only its
+ * blackboxPath (and the shared trace, as SweepRunner does).
+ */
+RunOptions
+gridRunOptions(const GridJob &job,
+               std::shared_ptr<const vm::ExternalTrace> xt,
+               std::uint64_t cycleBudget, double wallBudget)
+{
+    RunOptions ro;
+    ro.maxInsts = job.maxInsts;
+    ro.warmupInsts = job.warmupInsts;
+    ro.engine = job.engine;
+    ro.sampling = job.sampling;
+    ro.externalTrace = std::move(xt);
+    ro.maxCycles = cycleBudget;
+    ro.maxWallSeconds = wallBudget;
+    ro.captureManifest = true;
+    ro.canonicalManifest = true;
+    return ro;
+}
+
+/**
  * Run one resolved job through sim::run with bounded retry. Fills
  * @p rec (status/attempts/error) and, on success, @p result. Never
  * throws (except a SimulatedCrash, which must keep propagating —
@@ -854,16 +862,8 @@ runJob(const Spool &sp, const GridJob &job, const WorkerOptions &opts,
         std::shared_ptr<const prog::Program> program =
             resolveJobProgram(job, programs, xt);
 
-        RunOptions ro;
-        ro.maxInsts = job.maxInsts;
-        ro.warmupInsts = job.warmupInsts;
-        ro.engine = job.engine;
-        ro.sampling = job.sampling;
-        ro.externalTrace = xt;
-        ro.maxCycles = opts.cycleBudget;
-        ro.maxWallSeconds = opts.wallBudget;
-        ro.captureManifest = true;
-        ro.canonicalManifest = true;
+        RunOptions ro =
+            gridRunOptions(job, xt, opts.cycleBudget, opts.wallBudget);
         ro.blackboxPath =
             sp.blackboxDir() + "/" + Spool::blackboxFileName(job.id);
 
@@ -874,7 +874,7 @@ runJob(const Spool &sp, const GridJob &job, const WorkerOptions &opts,
         for (int attempt = 1;; ++attempt) {
             rec.attempts = attempt;
             try {
-                if (!xt)
+                if (wantsSharedTrace(ro))
                     ro.trace = traces.get(
                         program, job.maxInsts
                                      ? job.maxInsts + job.warmupInsts
@@ -998,11 +998,8 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         return true;
     };
 
-    /** The ordinary per-point path (also the batch-failure fallback).
-     *  @p parsed skips re-verification when the caller already holds
-     *  the verified spec. */
+    /** Run one claimed point and persist its result. */
     auto runOne = [&](const SpoolEntry &e, const std::string &cp,
-                      const GridJob *parsed,
                       const std::string &specText) {
         JobRecord rec;
         rec.id = e.id;
@@ -1013,21 +1010,17 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         auto t0 = std::chrono::steady_clock::now();
         try {
             GridJob job;
-            if (parsed) {
-                job = *parsed;
-            } else {
-                try {
-                    job = parseJobSpecText(specText, cp, e.id);
-                } catch (const CorruptArtifactError &err) {
-                    // The claimed copy is damaged, but grid.json
-                    // still holds the truth: rebuild and run, don't
-                    // quarantine a healthy point.
-                    warn("worker %s: %s; rebuilding job %llu from "
-                         "grid.json",
-                         opts.workerId.c_str(), err.what(),
-                         static_cast<unsigned long long>(e.id));
-                    job = jobFromGrid(e.id);
-                }
+            try {
+                job = parseJobSpecText(specText, cp, e.id);
+            } catch (const CorruptArtifactError &err) {
+                // The claimed copy is damaged, but grid.json still
+                // holds the truth: rebuild and run, don't quarantine
+                // a healthy point.
+                warn("worker %s: %s; rebuilding job %llu from "
+                     "grid.json",
+                     opts.workerId.c_str(), err.what(),
+                     static_cast<unsigned long long>(e.id));
+                job = jobFromGrid(e.id);
             }
             runJob(sp, job, opts, programs, traces, rec, result,
                    okRun);
@@ -1083,123 +1076,7 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         if (!acquire(picked, *pick, claimPath, specText))
             continue; // Lost the race; re-scan.
 
-        // Column batching: a Batched lead job pulls its whole column
-        // into one runBatch pass. Wall-budgeted runs stay per-point
-        // (runBatch refuses wall clocks — they are per-run concepts).
-        GridJob lead;
-        bool leadValid = false;
-        bool leadBatched = false;
-        if (opts.wallBudget == 0.0) {
-            try {
-                lead = parseJobSpecText(specText, claimPath,
-                                        picked.id);
-                leadValid = true;
-                leadBatched = lead.engine == Engine::Batched;
-            } catch (const CorruptArtifactError &) {
-                // runOne's rebuild path handles it per-point.
-            }
-        }
-        if (!leadBatched) {
-            runOne(picked, claimPath, leadValid ? &lead : nullptr,
-                   specText);
-            continue;
-        }
-
-        struct Claimed
-        {
-            SpoolEntry e;
-            std::string path;
-            GridJob job;
-        };
-        std::vector<Claimed> column;
-        column.push_back({picked, claimPath, lead});
-        std::size_t allow =
-            opts.maxJobs ? opts.maxJobs - completed : names.size();
-        for (const std::string &name : listDir(sp.jobsDir())) {
-            if (column.size() >= allow && allow > 0)
-                break;
-            if (opts.gracefulDrain && g_drainRequested)
-                break; // Drain with what we already hold.
-            SpoolEntry e;
-            if (!parseSpoolName(name, e) || !e.worker.empty())
-                continue;
-            GridJob cand;
-            try {
-                cand = parseJobSpecText(
-                    readFileText(sp.jobsDir() + "/" + name),
-                    sp.jobsDir() + "/" + name, e.id);
-            } catch (const io::SimulatedCrash &) {
-                throw;
-            } catch (...) {
-                continue; // Claimed/removed mid-scan, or damaged —
-                          // the per-point path deals with it later.
-            }
-            if (cand.engine != Engine::Batched ||
-                programKey(cand) != programKey(lead) ||
-                cand.maxInsts != lead.maxInsts ||
-                cand.warmupInsts != lead.warmupInsts)
-                continue;
-            std::string cp, ctext;
-            if (!acquire(e, name, cp, ctext))
-                continue; // Another worker won this point.
-            column.push_back({e, cp, cand});
-        }
-
-        bool columnOk = false;
-        if (column.size() > 1) {
-            try {
-                std::shared_ptr<const vm::ExternalTrace> xt;
-                std::shared_ptr<const prog::Program> program =
-                    resolveJobProgram(lead, programs, xt);
-                RunOptions ro;
-                ro.maxInsts = lead.maxInsts;
-                ro.warmupInsts = lead.warmupInsts;
-                ro.engine = Engine::Batched;
-                ro.externalTrace = xt;
-                ro.maxCycles = opts.cycleBudget;
-                ro.captureManifest = true;
-                ro.canonicalManifest = true;
-                if (!xt)
-                    ro.trace = traces.get(
-                        program,
-                        lead.maxInsts
-                            ? lead.maxInsts + lead.warmupInsts
-                            : 0);
-                std::vector<config::MachineConfig> cfgs;
-                cfgs.reserve(column.size());
-                for (const Claimed &c : column)
-                    cfgs.push_back(c.job.cfg);
-                auto t0 = std::chrono::steady_clock::now();
-                std::vector<SimResult> rs =
-                    runBatch(*program, cfgs, ro);
-                double wall =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count() /
-                    static_cast<double>(column.size());
-                for (std::size_t i = 0; i < column.size(); ++i) {
-                    JobRecord rec;
-                    rec.id = column[i].e.id;
-                    rec.shard = column[i].e.shard;
-                    rec.worker = opts.workerId;
-                    rec.status = JobStatus::Ok;
-                    persist(column[i].e, column[i].path, rec, rs[i],
-                            true, wall);
-                }
-                columnOk = true;
-            } catch (const io::SimulatedCrash &) {
-                throw;
-            } catch (...) {
-                // Fall back point-by-point below: a batch aborts on
-                // the first error, so re-running each claim alone
-                // reproduces the failure only on the offending point
-                // (with blackbox + retry, exactly the normal path).
-                columnOk = false;
-            }
-        }
-        if (!columnOk)
-            for (const Claimed &c : column)
-                runOne(c.e, c.path, &c.job, "");
+        runOne(picked, claimPath, specText);
     }
     return completed;
 }
@@ -1655,17 +1532,8 @@ runSerial(const GridSpec &spec, unsigned workers,
         std::shared_ptr<const vm::ExternalTrace> xt;
         std::shared_ptr<const prog::Program> program =
             resolveJobProgram(job, programs, xt);
-        RunOptions ro;
-        ro.maxInsts = job.maxInsts;
-        ro.warmupInsts = job.warmupInsts;
-        ro.engine = job.engine;
-        ro.sampling = job.sampling;
-        ro.externalTrace = xt;
-        ro.maxCycles = cycleBudget;
-        ro.maxWallSeconds = wallBudget;
-        ro.captureManifest = true;
-        ro.canonicalManifest = true;
-        runner.submit(program, job.cfg, ro);
+        runner.submit(program, job.cfg,
+                      gridRunOptions(job, xt, cycleBudget, wallBudget));
     }
     SweepOutcome out = runner.collectOutcome();
     if (!mergedPath.empty())

@@ -38,13 +38,6 @@ enum class Engine : std::uint8_t
     /** Replay a recorded trace (recording one first if needed). */
     Replay,
     /**
-     * Batched multi-config replay: one trace decode pass shared by a
-     * whole sweep column (see runBatch). For a single run() this is
-     * plain replay — batching is a sweep-level behavior; SweepRunner
-     * and the farm group same-program jobs into runBatch columns.
-     */
-    Batched,
-    /**
      * SMARTS-style interval sampling: functional fast-forward between
      * detailed windows per RunOptions::sampling. IPC/cycles are
      * estimates with a confidence interval (SimResult::sampling).
@@ -57,7 +50,10 @@ const char *engineName(Engine e);
 
 /**
  * Parse an engine name as CLI input. Unknown names raise ConfigError
- * with a did-you-mean suggestion when one is close enough.
+ * with a did-you-mean suggestion when one is close enough. The retired
+ * "batched" engine parses as Replay, so grid specs and spools that
+ * still name it keep loading (its results were bit-identical to
+ * replay).
  */
 Engine engineFromName(const std::string &name);
 
@@ -119,7 +115,7 @@ struct RunOptions
      * only the reconstructed text), and a run.trace_source provenance
      * block in the manifest. Engine::Live is a ConfigError — there is
      * no functional semantics to execute, only the recorded stream;
-     * Auto resolves to replay. Batched and sampled work unchanged.
+     * Auto resolves to replay. Sampled works unchanged.
      */
     std::shared_ptr<const vm::ExternalTrace> externalTrace;
     /**
@@ -206,26 +202,14 @@ SimResult run(const prog::Program &program,
               const RunOptions &opts = {});
 
 /**
- * Batched multi-config replay: simulate @p program under every
- * configuration in @p cfgs with ONE pass over the shared dynamic
- * trace. Each config gets its own complete pipeline (ROB, LSQ, LVAQ,
- * caches, stats — structure-of-arrays per-config timing state); the
- * driver interleaves their cycles against a bounded decode ring, so
- * trace decoding and memory traffic over the encoded words are paid
- * once per column instead of once per point. Results (manifests
- * included) are byte-identical to N independent run() calls with the
- * same options — pinned by the differential and sweep suites.
- *
- * @p opts applies to every lane. Options that name output files
- * (manifestPath, tracePath, samplePath, blackboxPath), wall-clock
- * budgets, interval sampling, and trace verification are per-run
- * concepts and raise ConfigError here; captureManifest/captureStats,
- * maxInsts/warmupInsts, maxCycles and label are supported. If
- * opts.trace is unset, the trace is recorded once internally.
- *
- * Any SimError aborts the whole column (deterministic: a caller
- * falling back to per-point run() calls reproduces the same failure
- * only on the offending point).
+ * Simulate @p program under every configuration in @p cfgs: one run()
+ * per configuration on the replay engine, all replaying ONE recorded
+ * trace (opts.trace, the external trace, or a recording made here
+ * once). Results come back in cfgs order, byte-identical to N
+ * independent run() calls. Options that name an output file would be
+ * overwritten by every point and raise ConfigError; opts.engine is
+ * ignored; everything else applies to each point. The first SimError
+ * aborts the column.
  */
 std::vector<SimResult>
 runBatch(const prog::Program &program,

@@ -127,6 +127,16 @@ struct SweepJob
 };
 
 /**
+ * Does a job run with @p opts replay a shared TraceCache recording?
+ * Only if it brings no stream of its own (RunOptions::trace or
+ * externalTrace — recording an external trace's reconstructed
+ * program would be wrong) and its engine replays: the live engine
+ * would ignore the trace, so fetching one would only execute the
+ * program an extra time.
+ */
+bool wantsSharedTrace(const RunOptions &opts);
+
+/**
  * Memoizes dynamic-trace recording so each (program, instruction cap)
  * is functionally executed exactly once and the recording is shared
  * read-only by every job that replays it. Thread-safe: concurrent
@@ -254,12 +264,16 @@ class SweepRunner
 
     /**
      * Share one recorded dynamic trace per (program, fetch-cap) across
-     * all jobs that did not bring their own RunOptions::trace (on by
-     * default). The first worker to touch a program records it; the
-     * rest replay. Results are bit-identical either way (see the
+     * all jobs that replay one (see wantsSharedTrace; on by default).
+     * The first worker to touch a program records it; the rest
+     * replay. Results are bit-identical either way (see the
      * differential suite); only wall-clock changes.
      */
     void setTraceSharing(bool on) { shareTraces = on; }
+
+    /** Traces the shared cache has recorded so far (see
+     *  TraceCache::recordings). */
+    std::size_t traceRecordings() const { return traces.recordings(); }
 
     /** Bound the shared trace cache (see TraceCache::setByteBudget). */
     void setTraceCacheBudget(std::size_t bytes)
@@ -276,31 +290,13 @@ class SweepRunner
         ErrorClass lastError;     ///< Last failure, kept across recovery.
     };
 
-    /** A submitted Engine::Batched job waiting to be grouped into a
-     *  column at collect time. */
-    struct PendingBatch
-    {
-        SweepJob job;
-        Slot *slot;
-    };
-
-    /** The per-job retry loop shared by the normal path and the
-     *  batch-failure fallback. Runs on a worker thread. */
+    /** The per-job retry loop. Runs on a worker thread. */
     static void runJobWithRetry(SweepJob job, Slot *slot,
                                 TraceCache *tc,
                                 const RetryPolicy &policy);
 
-    /**
-     * Group the pending Engine::Batched jobs into per-(program,
-     * options) columns and submit one runBatch task per column.
-     * Called by collect()/collectOutcome() once the grid is final —
-     * batching needs the whole column, which only exists then.
-     */
-    void flushBatches();
-
     ThreadPool pool;
     std::deque<Slot> slots; ///< deque: stable addresses across submit()
-    std::vector<PendingBatch> batchQueue;
     TraceCache traces;
     bool shareTraces = true;
     RetryPolicy retryPolicy;

@@ -151,68 +151,6 @@ class TraceReplay : public InstSource
 };
 
 /**
- * Decodes a RecordedTrace once into a bounded ring of DynInst records
- * shared by any number of lane cursors, so a whole sweep column pays
- * trace decoding a single time instead of once per configuration
- * point. The driver alternates decodeTo() with advancing every lane's
- * pipeline; it must never let a cursor fall further behind the decode
- * frontier than the ring capacity (sim::runBatch chunks targets to
- * guarantee this). Single-threaded by design: the batched driver runs
- * all lanes on one thread, interleaving their cycles.
- */
-class BatchedReplay
-{
-  public:
-    /** @param ringCap Ring capacity in instructions; rounded up to a
-     *  power of two. Must exceed one driver chunk plus the maximum
-     *  per-lane fetch overshoot (fetchWidth - 1). */
-    explicit BatchedReplay(const RecordedTrace &trace,
-                           std::size_t ringCap = 4096);
-
-    /** Instructions in the underlying trace. */
-    std::uint64_t instCount() const { return total; }
-    /** Ring capacity after power-of-two rounding. */
-    std::size_t capacity() const { return ring.size(); }
-
-    /**
-     * Decode forward until @p upTo instructions (clamped to the trace
-     * length) are resident in the ring, overwriting the oldest
-     * records. Panics if that would evict records a chunk-synchronised
-     * cursor could still need.
-     */
-    void decodeTo(std::uint64_t upTo);
-
-    /**
-     * One lane's read cursor over the shared ring. Field-for-field
-     * identical to a private TraceReplay over the same trace — the
-     * pipeline cannot tell them apart — but N cursors share one
-     * decode pass.
-     */
-    class Cursor : public InstSource
-    {
-      public:
-        explicit Cursor(const BatchedReplay &batch) : batch(&batch) {}
-
-        bool halted() const override { return next == batch->total; }
-        DynInst step() override;
-
-        /** Instructions consumed so far. */
-        std::uint64_t position() const { return next; }
-
-      private:
-        const BatchedReplay *batch;
-        std::uint64_t next = 0;
-    };
-
-  private:
-    TraceReplay decoder;
-    std::uint64_t total = 0;
-    std::uint64_t decodedEnd = 0; ///< Absolute decode frontier.
-    std::size_t mask = 0;
-    std::vector<DynInst> ring;    ///< ring[i & mask] holds record i.
-};
-
-/**
  * Accumulates the workload-characterization statistics of Section 2.2:
  * instruction mix, fraction of local loads/stores, dynamic frame-size
  * distribution and per-static-function frame sizes, call depth.

@@ -342,6 +342,53 @@ TEST(Farm, MergedManifestIsShardCountInvariant)
     }
 }
 
+TEST(Farm, LegacyBatchedGridMergesIdenticallyToSerial)
+{
+    // Grid specs written while the batched engine existed name it on
+    // every point. It now parses as replay, so such a grid spools,
+    // runs on two concurrent workers and merges byte-identical to the
+    // serial reference — which is also the plain grid's document: the
+    // batched engine always produced replay's results.
+    std::string legacyPath = freshDir("legacy") + ".json";
+    smallGrid().writeFile(legacyPath);
+    std::string text = slurp(legacyPath);
+    const std::string field = "\"warmup_insts\": 100,";
+    std::size_t tagged = 0;
+    for (std::size_t at = text.find(field); at != std::string::npos;
+         at = text.find(field, at + field.size())) {
+        text.insert(at + field.size(), " \"engine\": \"batched\",");
+        ++tagged;
+    }
+    ASSERT_EQ(tagged, smallGrid().jobs.size());
+    spit(legacyPath, text);
+
+    GridSpec legacy = GridSpec::fromFile(legacyPath);
+    for (const GridJob &job : legacy.jobs)
+        EXPECT_EQ(job.engine, Engine::Replay) << job.id;
+
+    std::string root = freshDir("legacy_spool");
+    farm::spoolGrid(legacy, root, 2);
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 2; ++w) {
+        workers.emplace_back([&root, w] {
+            farm::WorkerOptions wo;
+            wo.workerId = "w" + std::to_string(w);
+            wo.shard = w;
+            farm::runWorker(root, wo);
+        });
+    }
+    for (std::thread &t : workers)
+        t.join();
+    ASSERT_TRUE(farm::scanSpool(root).complete());
+
+    std::string merged = root + "/merged.json";
+    farm::mergeSpool(root, merged, "");
+    std::string serial = freshDir("legacy_serial") + ".json";
+    farm::runSerial(legacy, 2, RetryPolicy{}, 0, 0.0, serial);
+    EXPECT_EQ(slurp(merged), slurp(serial));
+    EXPECT_EQ(slurp(merged), referenceManifest());
+}
+
 TEST(Farm, ResumeRerunsExactlyTheMissingJobs)
 {
     const GridSpec spec = smallGrid();

@@ -135,11 +135,21 @@ TEST(Sampled, RejectsInvalidPlansAndIncompatibleOptions)
 TEST(Sampled, EngineNamesRoundTripAndRejectWithSuggestion)
 {
     for (Engine e : {Engine::Auto, Engine::Live, Engine::Replay,
-                     Engine::Batched, Engine::Sampled})
+                     Engine::Sampled})
         EXPECT_EQ(engineFromName(engineName(e)), e);
+    // The retired batched engine stays loadable from old grid specs
+    // and spools: it always produced replay's results.
+    EXPECT_EQ(engineFromName("batched"), Engine::Replay);
 
     setQuiet(true);
-    EXPECT_THROW(engineFromName("warp-drive"), ConfigError);
+    try {
+        engineFromName("warp-drive");
+        FAIL() << "engineFromName should have thrown";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()).find("batched"),
+                  std::string::npos)
+            << e.what();
+    }
     try {
         engineFromName("sampeld");
         FAIL() << "engineFromName should have thrown";

@@ -310,30 +310,27 @@ TEST(Sweep, TraceSharingDoesNotChangeGridResults)
     }
 }
 
-TEST(Sweep, BatchedEngineMatchesPerPointResults)
+TEST(Sweep, LiveEngineRecordsNoTraces)
 {
-    // The batched engine folds each program's column into one
-    // runBatch trace pass; every lane must stay bit-identical to the
-    // per-point serial reference, in submission order, for any worker
-    // count.
+    // Live jobs execute functionally and would ignore a shared trace,
+    // so a live grid must not record one per program — and its
+    // results must match the serial loop exactly.
     std::vector<SweepJob> jobs = determinismGrid();
     std::vector<SimResult> serial;
-    for (const SweepJob &job : jobs)
+    for (SweepJob &job : jobs) {
+        job.opts.engine = Engine::Live;
         serial.push_back(run(*job.program, job.cfg, job.opts));
+    }
 
-    for (unsigned workers : {1u, 4u}) {
-        SweepRunner sweep(workers);
-        for (SweepJob job : jobs) {
-            job.opts.engine = Engine::Batched;
-            sweep.submit(std::move(job));
-        }
-        std::vector<SimResult> batched = sweep.collect();
-        ASSERT_EQ(batched.size(), serial.size()) << workers;
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            SCOPED_TRACE("workers=" + std::to_string(workers) +
-                         " job=" + std::to_string(i));
-            expectIdentical(batched[i], serial[i]);
-        }
+    SweepRunner sweep(4);
+    for (const SweepJob &job : jobs)
+        sweep.submit(job);
+    std::vector<SimResult> results = sweep.collect();
+    EXPECT_EQ(sweep.traceRecordings(), 0u);
+    ASSERT_EQ(results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE("job=" + std::to_string(i));
+        expectIdentical(results[i], serial[i]);
     }
 }
 

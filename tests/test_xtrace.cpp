@@ -193,12 +193,11 @@ TEST(TraceEngines, ReplayBatchedAndSampledAllRun)
     EXPECT_EQ(replay.committed, xt->instCount());
     EXPECT_GT(replay.ipc, 0.0);
 
-    // Batched: one decode pass, byte-identical to per-point replay.
+    // runBatch: one shared trace, byte-identical to per-point replay.
     std::vector<config::MachineConfig> cfgs = {config::baseline(2),
                                                config::decoupled(2, 2)};
     sim::RunOptions bopts;
     bopts.externalTrace = xt;
-    bopts.engine = sim::Engine::Batched;
     std::vector<sim::SimResult> cols =
         sim::runBatch(xt->program(), cfgs, bopts);
     ASSERT_EQ(cols.size(), 2u);
@@ -298,7 +297,6 @@ TEST(Adversarial, AllGeneratorsRunAllEngines)
 
         sim::RunOptions bopts;
         bopts.externalTrace = xt;
-        bopts.engine = sim::Engine::Batched;
         std::vector<sim::SimResult> cols = sim::runBatch(
             xt->program(), {config::decoupled(2, 2)}, bopts);
         ASSERT_EQ(cols.size(), 1u) << name;

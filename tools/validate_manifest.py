@@ -37,8 +37,9 @@ JOB_STATUSES = ("ok", "recovered", "quarantined")
 VERDICTS = ("local", "nonlocal", "ambiguous")
 SEVERITIES = ("error", "warning", "note")
 ANNOTATE_POLICIES = ("safe", "speculative", "hybrid")
-# What a grid spec may request (batched lowers to replay per lane;
-# auto is the implicit default and never written).
+# What a grid spec may request (auto is the implicit default and never
+# written; batched is the retired engine, which old specs may still
+# name and which runs as replay).
 GRID_ENGINES = ("auto", "live", "replay", "batched", "sampled")
 # What a run manifest records actually drove the run.
 RUN_ENGINES = ("live", "replay", "sampled")
