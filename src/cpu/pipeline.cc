@@ -663,30 +663,42 @@ Pipeline::fetchStage()
     }
 }
 
-void
-Pipeline::warmFunctional(const vm::DynInst &di)
+std::uint64_t
+Pipeline::fastForward(std::uint64_t n)
 {
-    stream->record(di);
-    if (!di.isMem())
-        return;
-    bool isWrite = di.isStore();
-    mem::Cache *lvc = memHier->lvc();
-    if (cfg.classifier == config::ClassifierKind::Replicate && lvc) {
-        // Both queues get a copy and address resolution cancels the
-        // wrong one, so only the true region's cache sees the access.
-        (di.stackAccess ? lvc : &memHier->l1())
-            ->warm(di.effAddr, isWrite, curCycle);
-        return;
+    // Loop invariants: the warming targets and the steering policy
+    // are fixed for the run, and time stands still.
+    vm::StreamStats &ss = *stream;
+    mem::Cache &l1 = memHier->l1();
+    mem::Cache *const lvc = memHier->lvc();
+    const bool replicate =
+        lvc && cfg.classifier == config::ClassifierKind::Replicate;
+    const Cycle when = curCycle;
+
+    std::uint64_t k = 0;
+    for (; k < n && !executor.halted(); ++k) {
+        const vm::DynInst di = executor.step();
+        ss.record(di);
+        const isa::OpInfo &info = isa::opInfo(di.inst.op);
+        if (!info.load && !info.store)
+            continue;
+        // The cache that finally services the access. Replicated
+        // steering puts a copy in both queues and address resolution
+        // cancels the wrong one, so only this cache sees it.
+        mem::Cache &actual = lvc && di.stackAccess ? *lvc : l1;
+        if (!replicate) {
+            // A mispredicted access first warms the cache it was
+            // steered to, then replays into the correct queue.
+            bool toLvc = memClassifier->warmClassify(di) ==
+                             core::Stream::Lvaq &&
+                         lvc;
+            mem::Cache &steered = toLvc ? *lvc : l1;
+            if (&steered != &actual)
+                steered.warm(di.effAddr, info.store, when);
+        }
+        actual.warm(di.effAddr, info.store, when);
     }
-    core::Stream chosen = memClassifier->warmClassify(di);
-    bool toLvc = chosen == core::Stream::Lvaq && lvc;
-    (toLvc ? lvc : &memHier->l1())
-        ->warm(di.effAddr, isWrite, curCycle);
-    // A mispredicted access replays into the correct queue after
-    // address resolution; warm the cache that finally serviced it too.
-    if (lvc && toLvc != di.stackAccess)
-        (di.stackAccess ? lvc : &memHier->l1())
-            ->warm(di.effAddr, isWrite, curCycle);
+    return k;
 }
 
 // ---- Top level ------------------------------------------------------------------

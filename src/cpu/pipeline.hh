@@ -183,15 +183,19 @@ class Pipeline : public stats::Group
     std::uint64_t fetchedCount() const { return numFetched; }
 
     /**
-     * Functional warming: account @p di to the stream statistics and,
-     * for memory operations, touch the caches and train the region
-     * predictor as the instruction would have — without advancing
-     * time or any other statistic. The sampled engine calls this for
-     * every instruction it fast-forwards past so measured windows
-     * start with live microarchitectural state instead of state
-     * frozen at the previous window's end.
+     * Functional fast-forward with warming: execute up to @p n
+     * instructions from the source without timing them, accounting
+     * each to the stream statistics and, for memory operations,
+     * touching the caches and training the region predictor as the
+     * instruction would have — without advancing time or any other
+     * statistic. The sampled engine fast-forwards between windows
+     * this way so measured windows start with live
+     * microarchitectural state instead of state frozen at the
+     * previous window's end. Call it only with the pipeline drained.
+     *
+     * @return Instructions executed: min(@p n, instructions left).
      */
-    void warmFunctional(const vm::DynInst &di);
+    std::uint64_t fastForward(std::uint64_t n);
 
     Cycle now() const { return curCycle; }
     double ipc() const;

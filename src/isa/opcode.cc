@@ -95,34 +95,37 @@ constexpr int tableSize = sizeof(table) / sizeof(table[0]);
 static_assert(tableSize == NumOpcodesInt,
               "opcode table must cover every OpCode exactly once");
 
-// Dense table indexed by opcode value, verified at startup.
-const std::array<OpInfo, NumOpcodesInt> &
+// The dense table indexed by opcode value, built at compile time.
+constexpr std::array<OpInfo, NumOpcodesInt>
 denseTable()
 {
-    static const std::array<OpInfo, NumOpcodesInt> dense = [] {
-        std::array<OpInfo, NumOpcodesInt> d{};
-        for (const Entry &e : table) {
-            int idx = static_cast<int>(e.op);
-            d[static_cast<size_t>(idx)] = e.info;
-        }
-        for (int i = 0; i < NumOpcodesInt; ++i) {
-            if (d[static_cast<size_t>(i)].mnemonic == nullptr)
-                panic("opcode table missing entry for opcode %d", i);
-        }
-        return d;
-    }();
-    return dense;
+    std::array<OpInfo, NumOpcodesInt> d{};
+    for (const Entry &e : table)
+        d[static_cast<std::size_t>(e.op)] = e.info;
+    return d;
 }
+
+constexpr bool
+everyOpcodeHasARow()
+{
+    for (const OpInfo &info : denseTable())
+        if (info.mnemonic == nullptr)
+            return false;
+    return true;
+}
+
+static_assert(everyOpcodeHasARow(),
+              "opcode table is missing an entry (and so repeats one)");
 
 } // namespace
 
-const OpInfo &
-opInfo(OpCode op)
+constinit const std::array<OpInfo, NumOpcodesInt> OpInfoTable =
+    denseTable();
+
+void
+badOpcode(int idx)
 {
-    int idx = static_cast<int>(op);
-    if (idx < 0 || idx >= NumOpcodesInt)
-        panic("opInfo: invalid opcode %d", idx);
-    return denseTable()[static_cast<size_t>(idx)];
+    panic("opInfo: invalid opcode %d", idx);
 }
 
 const char *

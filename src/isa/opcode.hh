@@ -15,6 +15,8 @@
 #ifndef DDSIM_ISA_OPCODE_HH_
 #define DDSIM_ISA_OPCODE_HH_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace ddsim::isa {
@@ -124,8 +126,25 @@ struct OpInfo
     std::uint8_t accessSize;    ///< Memory bytes (0 for non-memory).
 };
 
+/**
+ * Static properties of every opcode, indexed by opcode value.
+ * Constant-initialized; opcode.cc proves at compile time that it
+ * covers every OpCode exactly once.
+ */
+extern const std::array<OpInfo, NumOpcodesInt> OpInfoTable;
+
+/** Out-of-line panic for an opcode value outside the table. */
+[[noreturn]] void badOpcode(int idx);
+
 /** Look up the static properties of @p op. */
-const OpInfo &opInfo(OpCode op);
+inline const OpInfo &
+opInfo(OpCode op)
+{
+    auto idx = static_cast<std::size_t>(op);
+    if (idx >= OpInfoTable.size()) [[unlikely]]
+        badOpcode(static_cast<int>(idx));
+    return OpInfoTable[idx];
+}
 
 /** Mnemonic string for @p op. */
 const char *mnemonic(OpCode op);

@@ -34,25 +34,6 @@ Cache::Cache(stats::Group *parent, const std::string &name,
                  Line{});
 }
 
-Cache::Line *
-Cache::findLine(Addr la)
-{
-    std::uint32_t set = setIndex(la);
-    Line *base = &lines[static_cast<std::size_t>(set) *
-                        cacheParams.assoc];
-    for (std::uint32_t w = 0; w < cacheParams.assoc; ++w) {
-        if (base[w].valid && base[w].tag == la)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr la) const
-{
-    return const_cast<Cache *>(this)->findLine(la);
-}
-
 Cache::Line &
 Cache::lruLine(Addr la)
 {
@@ -139,15 +120,8 @@ Cache::access(Addr addr, bool isWrite, Cycle when)
 }
 
 void
-Cache::warm(Addr addr, bool isWrite, Cycle when)
+Cache::warmMiss(Addr la, bool isWrite, Cycle when)
 {
-    Addr la = lineAddr(addr);
-    if (Line *line = findLine(la)) {
-        line->lastUsed = when;
-        if (isWrite)
-            line->dirty = true;
-        return;
-    }
     next->warm(la << lineShift, false, when);
     // Install over the LRU victim. A dirty victim's writeback is
     // dropped silently: warming has no timing to charge it to, and

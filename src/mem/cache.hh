@@ -44,8 +44,12 @@ class MemLevel
     }
 };
 
-/** A set-associative, write-back, lockup-free cache. */
-class Cache : public MemLevel, public stats::Group
+/**
+ * A set-associative, write-back, lockup-free cache. Final, so calls
+ * through a Cache (the sampled engine's fast-forward loop) bind
+ * statically and inline warm()'s hit path.
+ */
+class Cache final : public MemLevel, public stats::Group
 {
   public:
     /**
@@ -65,9 +69,21 @@ class Cache : public MemLevel, public stats::Group
      * Install/touch the line for @p addr without stats, MSHR traffic
      * or writebacks, recursing into the next level on a miss — keeps
      * tag state tracking the instruction stream across a sampled
-     * simulation's functional fast-forward.
+     * simulation's functional fast-forward. Hits are inline; misses
+     * go out of line.
      */
-    void warm(Addr addr, bool isWrite, Cycle when) override;
+    void
+    warm(Addr addr, bool isWrite, Cycle when) override
+    {
+        Addr la = lineAddr(addr);
+        if (Line *line = findLine(la)) [[likely]] {
+            line->lastUsed = when;
+            if (isWrite)
+                line->dirty = true;
+            return;
+        }
+        warmMiss(la, isWrite, when);
+    }
 
     /** Non-timing probe: would @p addr hit right now? (tests) */
     bool probe(Addr addr) const;
@@ -115,8 +131,22 @@ class Cache : public MemLevel, public stats::Group
     {
         return static_cast<std::uint32_t>(la) & (numSets - 1);
     }
-    Line *findLine(Addr la);
-    const Line *findLine(Addr la) const;
+    Line *
+    findLine(Addr la)
+    {
+        Line *base = &lines[static_cast<std::size_t>(setIndex(la)) *
+                            cacheParams.assoc];
+        for (std::uint32_t w = 0; w < cacheParams.assoc; ++w) {
+            if (base[w].valid && base[w].tag == la)
+                return &base[w];
+        }
+        return nullptr;
+    }
+    const Line *findLine(Addr la) const
+    {
+        return const_cast<Cache *>(this)->findLine(la);
+    }
+    void warmMiss(Addr la, bool isWrite, Cycle when);
     /** LRU victim slot for @p la's set — no stats, no writeback. */
     Line &lruLine(Addr la);
     Line &victimLine(Addr la, Cycle when);

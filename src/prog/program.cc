@@ -5,21 +5,20 @@
 
 namespace ddsim::prog {
 
+void
+Program::fetchPastEnd(std::uint32_t idx) const
+{
+    fatal("program '%s': fetch past end of text (index %u of %zu) "
+          "-- runaway control flow?",
+          progName.c_str(), idx, text.size());
+}
+
 std::uint32_t
 Program::fetchRaw(std::uint32_t idx) const
 {
     if (idx >= text.size())
-        fatal("program '%s': fetch past end of text (index %u of %zu) "
-              "-- runaway control flow?",
-              progName.c_str(), idx, text.size());
+        fetchPastEnd(idx);
     return text[idx];
-}
-
-const isa::Inst &
-Program::fetch(std::uint32_t idx) const
-{
-    fetchRaw(idx); // bounds check
-    return decoded[idx];
 }
 
 std::uint32_t

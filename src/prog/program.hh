@@ -40,7 +40,13 @@ class Program
      * immutable through its const interface and safe to share
      * read-only across concurrently running simulations.
      */
-    const isa::Inst &fetch(std::uint32_t idx) const;
+    const isa::Inst &
+    fetch(std::uint32_t idx) const
+    {
+        if (idx >= decoded.size()) [[unlikely]]
+            fetchPastEnd(idx);
+        return decoded[idx];
+    }
 
     /** Append one encoded instruction; returns its word index. */
     std::uint32_t append(std::uint32_t word);
@@ -80,6 +86,9 @@ class Program
     std::vector<std::uint8_t> data;
     std::map<std::string, std::uint32_t> symtab;
     std::uint32_t entryIdx = 0;
+
+    /** fatal(): control flow ran off the end of the text. */
+    [[noreturn]] void fetchPastEnd(std::uint32_t idx) const;
 };
 
 } // namespace ddsim::prog

@@ -657,15 +657,11 @@ runSampled(const prog::Program &program,
                 skip = std::min(skip, limit - consumed());
             else if (limit)
                 skip = 0;
-            for (std::uint64_t k = 0; k < skip && !src->halted();
-                 ++k) {
-                // Functional warming: caches and the region predictor
-                // keep tracking the stream, so the next window's
-                // warm-up only has to refill the pipeline — not
-                // rebuild megabytes of cold tag state.
-                pipe.warmFunctional(src->step());
-                ++ffSkipped;
-            }
+            // Functional warming: caches and the region predictor
+            // keep tracking the stream, so the next window's warm-up
+            // only has to refill the pipeline — not rebuild megabytes
+            // of cold tag state.
+            ffSkipped += pipe.fastForward(skip);
         }
         // Drain whatever the final partial window left in flight.
         pipe.run(pipe.fetchedCount());

@@ -13,23 +13,21 @@ SparseMemory::missData(Addr addr) const
     auto it = pages.find(base);
     if (it == pages.end())
         it = pages.emplace(base, Page(PageBytes, 0)).first;
-    lastBase = base;
-    lastData = it->second.data();
-    return lastData + (addr & (PageBytes - 1));
+    Slot &s = slotFor(addr);
+    s.base = base;
+    s.data = it->second.data();
+    return s.data + (addr & (PageBytes - 1));
 }
 
 void
-SparseMemory::checkAlign(Addr addr, Addr align) const
+SparseMemory::misaligned(Addr addr, Addr align)
 {
-    if (addr % align != 0)
-        fatal("unaligned %u-byte access at 0x%08x", align, addr);
+    fatal("unaligned %u-byte access at 0x%08x", align, addr);
 }
 
 double
-SparseMemory::readDouble(Addr addr) const
+SparseMemory::readDoubleStraddling(Addr addr) const
 {
-    checkAlign(addr, 4);
-    // An 8-byte access may straddle a page boundary.
     std::uint8_t buf[8];
     for (int i = 0; i < 8; ++i)
         buf[i] = readByte(addr + static_cast<Addr>(i));
@@ -39,9 +37,8 @@ SparseMemory::readDouble(Addr addr) const
 }
 
 void
-SparseMemory::writeDouble(Addr addr, double value)
+SparseMemory::writeDoubleStraddling(Addr addr, double value)
 {
-    checkAlign(addr, 4);
     std::uint8_t buf[8];
     std::memcpy(buf, &value, 8);
     for (int i = 0; i < 8; ++i)

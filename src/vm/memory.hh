@@ -8,6 +8,7 @@
 #ifndef DDSIM_VM_MEMORY_HH_
 #define DDSIM_VM_MEMORY_HH_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -25,15 +26,14 @@ class SparseMemory
     static constexpr Addr PageBytes = 4096;
 
     SparseMemory() = default;
-    // Copies must not inherit the page-cache pointer (it would point
-    // into the source's pages).
+    // Copies start with an empty page cache: a copied slot would
+    // point into the source's pages.
     SparseMemory(const SparseMemory &o) : pages(o.pages) {}
     SparseMemory &
     operator=(const SparseMemory &o)
     {
         pages = o.pages;
-        lastBase = 1;
-        lastData = nullptr;
+        slots.fill(Slot{});
         return *this;
     }
 
@@ -56,9 +56,30 @@ class SparseMemory
         std::memcpy(data(addr), &value, 4);
     }
 
-    /** 64-bit double access; requires 4-byte alignment. */
-    double readDouble(Addr addr) const;
-    void writeDouble(Addr addr, double value);
+    /**
+     * 64-bit double access; requires 4-byte alignment, so it may
+     * straddle a page boundary (handled out of line).
+     */
+    double
+    readDouble(Addr addr) const
+    {
+        checkAlign(addr, 4);
+        if (!inOnePage(addr, 8)) [[unlikely]]
+            return readDoubleStraddling(addr);
+        double v;
+        std::memcpy(&v, data(addr), 8);
+        return v;
+    }
+    void
+    writeDouble(Addr addr, double value)
+    {
+        checkAlign(addr, 4);
+        if (!inOnePage(addr, 8)) [[unlikely]] {
+            writeDoubleStraddling(addr, value);
+            return;
+        }
+        std::memcpy(data(addr), &value, 8);
+    }
 
     /** Bulk initialization (program loading). */
     void writeBlock(Addr addr, const std::uint8_t *src, std::size_t len);
@@ -71,26 +92,51 @@ class SparseMemory
     mutable std::unordered_map<Addr, Page> pages;
 
     /**
-     * One-entry page cache: consecutive accesses overwhelmingly hit
-     * the same page (the stack), so the map lookup is skipped for
-     * them. Page buffers never move once allocated (the map may
-     * rehash, but that moves the vector object, not its heap data),
-     * so the cached pointer stays valid.
+     * Direct-mapped page-pointer cache: the stack, globals and a few
+     * arrays stay resident, so the map lookup is skipped for nearly
+     * every access. Page buffers never move once allocated (the map
+     * may rehash, but that moves the vector object, not its heap
+     * data), so cached pointers stay valid until the map is replaced.
      */
-    mutable Addr lastBase = 1; // Never page-aligned: always misses.
-    mutable std::uint8_t *lastData = nullptr;
+    struct Slot
+    {
+        Addr base = 1; ///< Never page-aligned: always misses.
+        std::uint8_t *data = nullptr;
+    };
+    static constexpr std::size_t NumSlots = 16;
+    mutable std::array<Slot, NumSlots> slots{};
+
+    Slot &slotFor(Addr addr) const
+    {
+        return slots[(addr / PageBytes) % NumSlots];
+    }
 
     /** Byte pointer into the page holding @p addr (allocates it). */
     std::uint8_t *
     data(Addr addr) const
     {
-        Addr base = addr & ~(PageBytes - 1);
-        if (base == lastBase) [[likely]]
-            return lastData + (addr & (PageBytes - 1));
+        const Slot &s = slotFor(addr);
+        if (s.base == (addr & ~(PageBytes - 1))) [[likely]]
+            return s.data + (addr & (PageBytes - 1));
         return missData(addr);
     }
     std::uint8_t *missData(Addr addr) const;
-    void checkAlign(Addr addr, Addr align) const;
+
+    static bool
+    inOnePage(Addr addr, Addr len)
+    {
+        return (addr & (PageBytes - 1)) <= PageBytes - len;
+    }
+    double readDoubleStraddling(Addr addr) const;
+    void writeDoubleStraddling(Addr addr, double value);
+
+    static void
+    checkAlign(Addr addr, Addr align)
+    {
+        if (addr % align != 0) [[unlikely]]
+            misaligned(addr, align);
+    }
+    [[noreturn]] static void misaligned(Addr addr, Addr align);
 };
 
 } // namespace ddsim::vm

@@ -23,23 +23,9 @@ StreamStats::StreamStats(stats::Group *parent)
 }
 
 void
-StreamStats::record(const DynInst &di)
+StreamStats::recordCallReturnFrame(const DynInst &di)
 {
-    ++instructions;
-    const isa::OpInfo &info = isa::opInfo(di.inst.op);
-    if (info.load) {
-        ++loads;
-        if (di.inst.localHint)
-            ++localLoads;
-        if (di.stackAccess)
-            ++stackLoads;
-    } else if (info.store) {
-        ++stores;
-        if (di.inst.localHint)
-            ++localStores;
-        if (di.stackAccess)
-            ++stackStores;
-    } else if (info.call) {
+    if (isa::isCall(di.inst.op)) {
         ++calls;
         callDepth.sample(static_cast<std::uint64_t>(depth));
         ++depth;

@@ -160,8 +160,31 @@ class StreamStats : public stats::Group
   public:
     explicit StreamStats(stats::Group *parent);
 
-    /** Feed one executed instruction. */
-    void record(const DynInst &di);
+    /**
+     * Feed one executed instruction. The counters are inline; calls,
+     * returns and frame allocations go out of line.
+     */
+    void
+    record(const DynInst &di)
+    {
+        ++instructions;
+        const isa::OpInfo &info = isa::opInfo(di.inst.op);
+        if (info.load) {
+            ++loads;
+            if (di.inst.localHint)
+                ++localLoads;
+            if (di.stackAccess)
+                ++stackLoads;
+        } else if (info.store) {
+            ++stores;
+            if (di.inst.localHint)
+                ++localStores;
+            if (di.stackAccess)
+                ++stackStores;
+        } else if (info.uncondJump || di.frameAllocBytes() != 0) {
+            recordCallReturnFrame(di);
+        }
+    }
 
     stats::Scalar instructions;
     stats::Scalar loads;
@@ -196,6 +219,9 @@ class StreamStats : public stats::Group
     double meanStaticFrameWords() const;
 
   private:
+    /** record()'s call, return and frame-allocation bookkeeping. */
+    void recordCallReturnFrame(const DynInst &di);
+
     std::map<std::uint32_t, std::uint32_t> staticFrameWords;
     std::uint32_t curFunction = 0;  ///< Entry pc of innermost function.
     std::vector<std::uint32_t> functionStack;

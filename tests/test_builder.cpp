@@ -224,6 +224,9 @@ TEST(Program, SymbolsAndFetchBounds)
     Program p = b.finish();
     EXPECT_TRUE(p.hasSymbol("start"));
     EXPECT_THROW(p.symbol("nope"), FatalError);
+    EXPECT_EQ(p.fetch(0).op, OpCode::HALT);
+    EXPECT_THROW(p.fetch(1), FatalError);
+    EXPECT_THROW(p.fetchRaw(1), FatalError);
     EXPECT_THROW(p.fetch(99), FatalError);
 }
 

@@ -413,6 +413,19 @@ TEST(OpInfoTable, LatenciesMatchR10000)
     EXPECT_FALSE(opInfo(OpCode::DIV_D).pipelined);
 }
 
+TEST(OpInfoTable, EveryOpcodeHasARowAndOutOfRangePanics)
+{
+    ASSERT_EQ(OpInfoTable.size(), static_cast<std::size_t>(NumOpcodesInt));
+    for (int i = 0; i < NumOpcodesInt; ++i)
+        EXPECT_EQ(&opInfo(static_cast<OpCode>(i)), &OpInfoTable[i]);
+
+    setQuiet(true);
+    EXPECT_THROW(opInfo(OpCode::NumOpcodes), PanicError);
+    EXPECT_THROW(opInfo(static_cast<OpCode>(0xff)), PanicError);
+    EXPECT_THROW(mnemonic(OpCode::NumOpcodes), PanicError);
+    setQuiet(false);
+}
+
 TEST(OpInfoTable, AccessSizes)
 {
     EXPECT_EQ(opInfo(OpCode::LW).accessSize, 4);

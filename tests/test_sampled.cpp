@@ -11,18 +11,33 @@
  * changed). Plus: the error-bar block, plan validation, engine-name
  * parsing with did-you-mean, and trace-replay equivalence of the
  * sampled estimate.
+ *
+ * DifferentialSampled pins the engine field for field: the 12
+ * workloads plus the two adversarial frame workloads at default scale,
+ * under the default and a sparse plan and configurations covering
+ * every fast-forward warming branch, must reproduce every SimResult
+ * field of sampled_baseline.inc (generated by `tools/ddbaseline
+ * --sampled`). The 2% bound alone would let a warming loop that drops
+ * a re-warm or miscounts a stream stat pass.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "config/presets.hh"
+#include "cpu/pipeline.hh"
+#include "isa/regs.hh"
+#include "prog/builder.hh"
 #include "sim/runner.hh"
+#include "stats/group.hh"
 #include "util/error.hh"
 #include "util/log.hh"
+#include "vm/executor.hh"
 #include "vm/trace.hh"
 #include "workloads/common.hh"
 
@@ -39,7 +54,163 @@ defaultScaleProgram(const workloads::WorkloadInfo &w)
     return workloads::build(w.name, p);
 }
 
+struct SampledRow
+{
+    const char *workload;
+    const char *cfg;
+    const char *plan;
+    std::uint64_t cycles;
+    std::uint64_t committed;
+    double ipc;
+    std::uint64_t loads;
+    std::uint64_t stores;
+    std::uint64_t localLoads;
+    std::uint64_t localStores;
+    double meanDynFrameWords;
+    double meanStaticFrameWords;
+    std::uint64_t l1Accesses;
+    std::uint64_t l1Misses;
+    double l1MissRate;
+    std::uint64_t lvcAccesses;
+    std::uint64_t lvcMisses;
+    double lvcMissRate;
+    std::uint64_t l2Accesses;
+    std::uint64_t memAccesses;
+    std::uint64_t lsqForwards;
+    std::uint64_t lvaqForwards;
+    std::uint64_t lvaqFastForwards;
+    std::uint64_t lvaqCombined;
+    std::uint64_t lvaqLoads;
+    double lvaqSatisfiedFrac;
+    double classifierAccuracy;
+    std::uint64_t missteered;
+    std::uint64_t classified;
+    std::uint64_t toLvaq;
+    std::uint64_t staticDecided;
+    std::uint64_t windows;
+    std::uint64_t detailInsts;
+    std::uint64_t detailCycles;
+    double ipcCi95;
+};
+
+const SampledRow kSampledBaseline[] = {
+#include "sampled_baseline.inc"
+};
+
+/** Must stay in sync with sampledConfig() in tools/ddbaseline.cc. */
+config::MachineConfig
+sampledConfig(const std::string &name)
+{
+    config::MachineConfig cfg = config::decoupled(3, 2);
+    if (name == "rep32")
+        cfg.classifier = config::ClassifierKind::Replicate;
+    else if (name == "pred32")
+        cfg.classifier = config::ClassifierKind::Predictor;
+    else if (name == "ann32")
+        cfg.classifier = config::ClassifierKind::Annotation;
+    else
+        cfg = config::decoupledOptimized(3, 2);
+    return cfg;
+}
+
+/** Must stay in sync with samplingPlan() in tools/ddbaseline.cc. */
+SamplingPlan
+samplingPlan(const std::string &name)
+{
+    SamplingPlan plan;
+    if (name == "sparse") {
+        plan.period = 32768;
+        plan.detail = 2048;
+        plan.warmup = 256;
+    }
+    return plan;
+}
+
+/** Default-scale workload programs, built once per test binary. */
+const prog::Program &
+programFor(const std::string &workload)
+{
+    static std::map<std::string, std::unique_ptr<prog::Program>> cache;
+    auto it = cache.find(workload);
+    if (it == cache.end())
+        it = cache
+                 .emplace(workload,
+                          std::make_unique<prog::Program>(
+                              defaultScaleProgram(
+                                  *workloads::find(workload))))
+                 .first;
+    return *it->second;
+}
+
+class DifferentialSampled : public ::testing::TestWithParam<SampledRow>
+{};
+
+std::string
+sampledRowName(const ::testing::TestParamInfo<SampledRow> &info)
+{
+    return std::string(info.param.workload) + "_" + info.param.cfg +
+           "_" + info.param.plan;
+}
+
 } // namespace
+
+TEST_P(DifferentialSampled, MatchesPinnedResult)
+{
+    const SampledRow &row = GetParam();
+    const config::MachineConfig cfg = sampledConfig(row.cfg);
+    RunOptions so;
+    so.engine = Engine::Sampled;
+    so.sampling = samplingPlan(row.plan);
+    SimResult r = run(programFor(row.workload), cfg, so);
+
+    EXPECT_EQ(r.program, row.workload);
+    EXPECT_EQ(r.notation, cfg.notation());
+    EXPECT_FALSE(r.quarantined);
+    EXPECT_TRUE(r.statsText.empty());
+    EXPECT_TRUE(r.manifestJson.empty());
+    EXPECT_EQ(r.cycles, row.cycles);
+    EXPECT_EQ(r.committed, row.committed);
+    EXPECT_DOUBLE_EQ(r.ipc, row.ipc);
+    EXPECT_EQ(r.loads, row.loads);
+    EXPECT_EQ(r.stores, row.stores);
+    EXPECT_EQ(r.localLoads, row.localLoads);
+    EXPECT_EQ(r.localStores, row.localStores);
+    EXPECT_DOUBLE_EQ(r.meanDynFrameWords, row.meanDynFrameWords);
+    EXPECT_DOUBLE_EQ(r.meanStaticFrameWords, row.meanStaticFrameWords);
+    EXPECT_EQ(r.l1Accesses, row.l1Accesses);
+    EXPECT_EQ(r.l1Misses, row.l1Misses);
+    EXPECT_DOUBLE_EQ(r.l1MissRate, row.l1MissRate);
+    EXPECT_EQ(r.lvcAccesses, row.lvcAccesses);
+    EXPECT_EQ(r.lvcMisses, row.lvcMisses);
+    EXPECT_DOUBLE_EQ(r.lvcMissRate, row.lvcMissRate);
+    EXPECT_EQ(r.l2Accesses, row.l2Accesses);
+    EXPECT_EQ(r.memAccesses, row.memAccesses);
+    EXPECT_EQ(r.lsqForwards, row.lsqForwards);
+    EXPECT_EQ(r.lvaqForwards, row.lvaqForwards);
+    EXPECT_EQ(r.lvaqFastForwards, row.lvaqFastForwards);
+    EXPECT_EQ(r.lvaqCombined, row.lvaqCombined);
+    EXPECT_EQ(r.lvaqLoads, row.lvaqLoads);
+    EXPECT_DOUBLE_EQ(r.lvaqSatisfiedFrac, row.lvaqSatisfiedFrac);
+    EXPECT_DOUBLE_EQ(r.classifierAccuracy, row.classifierAccuracy);
+    EXPECT_EQ(r.missteered, row.missteered);
+    EXPECT_EQ(r.classified, row.classified);
+    EXPECT_EQ(r.toLvaq, row.toLvaq);
+    EXPECT_EQ(r.staticDecided, row.staticDecided);
+
+    EXPECT_TRUE(r.sampling.active);
+    EXPECT_EQ(r.sampling.period, so.sampling.period);
+    EXPECT_EQ(r.sampling.detail, so.sampling.detail);
+    EXPECT_EQ(r.sampling.warmup, so.sampling.warmup);
+    EXPECT_EQ(r.sampling.windows, row.windows);
+    EXPECT_EQ(r.sampling.detailInsts, row.detailInsts);
+    EXPECT_EQ(r.sampling.detailCycles, row.detailCycles);
+    EXPECT_DOUBLE_EQ(r.sampling.ipcCi95, row.ipcCi95);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloadsPlansAndWarmingBranches,
+                         DifferentialSampled,
+                         ::testing::ValuesIn(kSampledBaseline),
+                         sampledRowName);
 
 TEST(Sampled, DefaultPlanWithinTwoPercentOnEveryWorkload)
 {
@@ -100,6 +271,99 @@ TEST(Sampled, DeterministicAndTraceReplayEquivalent)
     EXPECT_EQ(a.cycles, c.cycles);
     EXPECT_EQ(a.committed, c.committed);
     EXPECT_EQ(a.sampling.detailCycles, c.sampling.detailCycles);
+}
+
+TEST(PipelineFastForward, StopsAtHaltAndCharacterizesLikeAnExecutor)
+{
+    workloads::WorkloadParams p;
+    p.scale = workloads::find("li")->defaultScale / 8;
+    prog::Program program = workloads::build("li", p);
+
+    stats::Group refRoot(nullptr, "");
+    vm::StreamStats ref(&refRoot);
+    vm::Executor refExec(program);
+    while (!refExec.halted())
+        ref.record(refExec.step());
+    const std::uint64_t total = refExec.instsExecuted();
+    ASSERT_GT(total, 1000u);
+
+    for (const char *name : {"opt32", "rep32", "pred32", "ann32"}) {
+        SCOPED_TRACE(name);
+        stats::Group root(nullptr, "");
+        vm::Executor exec(program);
+        cpu::Pipeline pipe(&root, sampledConfig(name), exec);
+
+        EXPECT_EQ(pipe.fastForward(0), 0u);
+        EXPECT_EQ(exec.instsExecuted(), 0u);
+        EXPECT_EQ(pipe.streamStats().instructions.value(), 0u);
+        EXPECT_EQ(pipe.fastForward(1000), 1000u);
+        EXPECT_EQ(exec.instsExecuted(), 1000u);
+        EXPECT_EQ(pipe.fastForward(UINT64_MAX), total - 1000);
+        EXPECT_TRUE(exec.halted());
+        EXPECT_EQ(pipe.fastForward(5), 0u);
+
+        // Time stands still and only the stream statistics count.
+        EXPECT_EQ(pipe.now(), 0u);
+        EXPECT_EQ(pipe.fetchedCount(), 0u);
+        EXPECT_EQ(pipe.hierarchy().l1().accesses.value(), 0u);
+        EXPECT_EQ(pipe.hierarchy().l2().accesses.value(), 0u);
+
+        const vm::StreamStats &ss = pipe.streamStats();
+        EXPECT_EQ(ss.instructions.value(), ref.instructions.value());
+        EXPECT_EQ(ss.loads.value(), ref.loads.value());
+        EXPECT_EQ(ss.stores.value(), ref.stores.value());
+        EXPECT_EQ(ss.localLoads.value(), ref.localLoads.value());
+        EXPECT_EQ(ss.localStores.value(), ref.localStores.value());
+        EXPECT_EQ(ss.stackLoads.value(), ref.stackLoads.value());
+        EXPECT_EQ(ss.stackStores.value(), ref.stackStores.value());
+        EXPECT_EQ(ss.calls.value(), ref.calls.value());
+        EXPECT_EQ(ss.returns.value(), ref.returns.value());
+        EXPECT_EQ(ss.frameWords.samples(), ref.frameWords.samples());
+        EXPECT_DOUBLE_EQ(ss.frameWords.mean(), ref.frameWords.mean());
+        EXPECT_EQ(ss.callDepth.samples(), ref.callDepth.samples());
+        EXPECT_DOUBLE_EQ(ss.callDepth.mean(), ref.callDepth.mean());
+        EXPECT_EQ(ss.staticFrames(), ref.staticFrames());
+    }
+}
+
+TEST(PipelineFastForward, WarmsTheSteeredAndTheServicingCache)
+{
+    // A heap load the annotation calls local and a stack store it
+    // calls non-local: annotation steering gets both wrong, so each
+    // warms the cache it was steered to and then the one that
+    // services it. Oracle and replicated steering warm only the
+    // latter.
+    prog::ProgramBuilder b("missteer");
+    const Addr heap = b.dataWord(7);
+    const Addr stack = layout::StackBase - 64;
+    b.la(isa::reg::t0, heap);
+    b.lw(isa::reg::t1, 0, isa::reg::t0, true);
+    b.addi(isa::reg::t2, isa::reg::sp, -64);
+    b.sw(isa::reg::t1, 0, isa::reg::t2, false);
+    b.halt();
+    prog::Program program = b.finish();
+
+    struct Case
+    {
+        const char *cfg;
+        bool missteered;
+    };
+    for (Case c : {Case{"opt32", false}, Case{"rep32", false},
+                   Case{"ann32", true}}) {
+        SCOPED_TRACE(c.cfg);
+        stats::Group root(nullptr, "");
+        vm::Executor exec(program);
+        cpu::Pipeline pipe(&root, sampledConfig(c.cfg), exec);
+        pipe.fastForward(100);
+        ASSERT_TRUE(exec.halted());
+        mem::Hierarchy &h = pipe.hierarchy();
+        EXPECT_TRUE(h.l1().probe(heap));
+        EXPECT_TRUE(h.lvc()->probe(stack));
+        EXPECT_EQ(h.lvc()->probe(heap), c.missteered);
+        EXPECT_EQ(h.l1().probe(stack), c.missteered);
+        EXPECT_TRUE(h.l2().probe(heap));
+        EXPECT_TRUE(h.l2().probe(stack));
+    }
 }
 
 TEST(Sampled, RejectsInvalidPlansAndIncompatibleOptions)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "prog/builder.hh"
 #include "util/log.hh"
 #include "vm/executor.hh"
@@ -41,10 +44,66 @@ TEST(SparseMemory, UntouchedMemoryReadsZero)
 
 TEST(SparseMemory, DoubleCrossesPageBoundary)
 {
-    SparseMemory m;
-    Addr addr = SparseMemory::PageBytes - 4;
-    m.writeDouble(addr, 3.14159);
-    EXPECT_DOUBLE_EQ(m.readDouble(addr), 3.14159);
+    // 4092 straddles into the next page; 4088 is the last offset
+    // whose 8 bytes fit in one page (the in-page path).
+    const double value = -0x1.23456789abcdep-700;
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, 8);
+    for (Addr offset : {Addr{4092}, Addr{4088}}) {
+        SCOPED_TRACE(offset);
+        SparseMemory m;
+        Addr addr = 0x10000 + offset;
+        m.writeDouble(addr, value);
+        EXPECT_EQ(m.readDouble(addr), value);
+        for (Addr i = 0; i < 8; ++i)
+            EXPECT_EQ(m.readByte(addr + i), (bits >> (8 * i)) & 0xff);
+        EXPECT_EQ(m.readWord(addr - 4), 0u);
+        EXPECT_EQ(m.readWord(addr + 8), 0u);
+    }
+}
+
+TEST(SparseMemory, CopiesAndAssignmentsShareNoPages)
+{
+    // Touch pages in several page-cache slots, two of them sharing a
+    // slot, so every memory below holds cached page pointers before
+    // it is copied or assigned over. A copy that kept a stale slot
+    // would write into (or, under ASan, read freed) foreign pages.
+    const Addr addrs[] = {0x1000, 0x2000, 0x11000, 0x10000ff8,
+                          0x7fff0ffc};
+    SparseMemory a;
+    for (Addr x : addrs)
+        a.writeWord(x, 1);
+
+    SparseMemory b(a);
+    for (Addr x : addrs) {
+        EXPECT_EQ(b.readWord(x), 1u);
+        b.writeWord(x, 2);
+        a.writeWord(x + 4, 3);
+    }
+    for (Addr x : addrs) {
+        EXPECT_EQ(a.readWord(x), 1u);
+        EXPECT_EQ(b.readWord(x), 2u);
+        EXPECT_EQ(a.readWord(x + 4), 3u);
+        EXPECT_EQ(b.readWord(x + 4), 0u);
+    }
+
+    SparseMemory c;
+    for (Addr x : addrs)
+        c.writeWord(x, 4);
+    {
+        SparseMemory source(b);
+        source.readWord(0x3000);
+        c = source;
+        for (Addr x : addrs)
+            source.writeWord(x, 5);
+    } // source's pages are freed here
+    for (Addr x : addrs) {
+        EXPECT_EQ(c.readWord(x), 2u);
+        c.writeWord(x, 6);
+        EXPECT_EQ(b.readWord(x), 2u);
+        EXPECT_EQ(a.readWord(x), 1u);
+    }
+    EXPECT_EQ(c.pagesAllocated(), b.pagesAllocated() + 1);
 }
 
 TEST(SparseMemory, UnalignedWordIsFatal)
