@@ -281,6 +281,10 @@ TraceReader::getVarint(std::uint64_t &v)
         int c = is.get();
         if (c == std::char_traits<char>::eof())
             return false;
+        // The tenth byte holds bit 63 only; anything above it would
+        // be shifted out silently.
+        if (shift == 63 && (c & 0x7f) > 1)
+            corrupt(offset(), "malformed varint (overflows 64 bits)");
         v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
         if (!(c & 0x80))
             return true;

@@ -47,21 +47,36 @@ programKey(const GridJob &job)
 }
 
 /**
- * Resolve a grid job's program: the decoded external trace when the
- * point names one (loadCached, so one worker process decodes each
- * file once), the registry build otherwise. The ExternalTrace lands
- * in @p xt for the caller to hang on its RunOptions.
+ * The one GridJob -> SweepJob mapping. Farm workers and the serial
+ * reference both build a point here, so they cannot drift apart —
+ * byte-identical merges depend on it. A worker adds only its
+ * blackboxPath (runJob adds the shared trace). The program is the
+ * decoded external trace when the point names one (loadCached, so one
+ * worker process decodes each file once), the registry build
+ * otherwise.
  */
-std::shared_ptr<const prog::Program>
-resolveJobProgram(const GridJob &job, ProgramCache &programs,
-                  std::shared_ptr<const vm::ExternalTrace> &xt)
+SweepJob
+gridSweepJob(const GridJob &job, ProgramCache &programs,
+             std::uint64_t cycleBudget, double wallBudget)
 {
+    SweepJob sj;
     if (!job.tracePath.empty()) {
-        xt = vm::ExternalTrace::loadCached(job.tracePath);
-        return xt->sharedProgram();
+        sj.opts.externalTrace = vm::ExternalTrace::loadCached(job.tracePath);
+        sj.program = sj.opts.externalTrace->sharedProgram();
+    } else {
+        sj.program = programs.get(programKey(job),
+                                  [&] { return buildGridProgram(job); });
     }
-    return programs.get(programKey(job),
-                        [&] { return buildGridProgram(job); });
+    sj.cfg = job.cfg;
+    sj.opts.maxInsts = job.maxInsts;
+    sj.opts.warmupInsts = job.warmupInsts;
+    sj.opts.engine = job.engine;
+    sj.opts.sampling = job.sampling;
+    sj.opts.maxCycles = cycleBudget;
+    sj.opts.maxWallSeconds = wallBudget;
+    sj.opts.captureManifest = true;
+    sj.opts.canonicalManifest = true;
+    return sj;
 }
 
 bool
@@ -356,6 +371,29 @@ quarantineArtifact(const Spool &sp, const std::string &dir,
              sp.root.c_str(), what, name.c_str());
 }
 
+/**
+ * Fill @p ci's pid and job age from the ddsim-claim-v1 lease document
+ * at @p claimPath. Both keep their "unknown" defaults in the pre-lease
+ * window (the claim still holds the job spec) or when the file
+ * vanished: then the heartbeat age is all there is to know.
+ */
+void
+readLease(const std::string &claimPath, ClaimInfo &ci)
+{
+    try {
+        JsonValue doc = parseJson(readFileText(claimPath));
+        const std::string w = "claim";
+        if (doc.at("schema", w).asString(w + ".schema") != kClaimSchema)
+            return;
+        ci.pid = static_cast<pid_t>(doc.at("pid", w).asInt(w + ".pid"));
+        ci.jobAge = std::difftime(
+            std::time(nullptr),
+            static_cast<std::time_t>(doc.at("acquired_unix", w)
+                                         .asUint(w + ".acquired_unix")));
+    } catch (...) {
+    }
+}
+
 // ---------------------------------------------------------------------
 // Worker-side liveness machinery
 // ---------------------------------------------------------------------
@@ -644,23 +682,7 @@ scanSpool(const std::string &root)
         ci.worker = e.worker;
         const std::string claimPath = sp.claimsDir() + "/" + name;
         ci.heartbeatAge = io::vfs().fileAgeSeconds(claimPath);
-        try {
-            JsonValue doc = parseJson(readFileText(claimPath));
-            const std::string w = "claim";
-            if (doc.at("schema", w).asString(w + ".schema") ==
-                kClaimSchema) {
-                ci.pid = static_cast<pid_t>(
-                    doc.at("pid", w).asInt(w + ".pid"));
-                ci.jobAge = std::difftime(
-                    std::time(nullptr),
-                    static_cast<std::time_t>(
-                        doc.at("acquired_unix", w)
-                            .asUint(w + ".acquired_unix")));
-            }
-        } catch (...) {
-            // Pre-lease window (the claim still holds the job spec)
-            // or a vanished file: heartbeat age is all we know.
-        }
+        readLease(claimPath, ci);
         st.leases.push_back(std::move(ci));
     }
     for (const std::string &name : listDir(sp.resultsDir())) {
@@ -820,92 +842,18 @@ requeueIncomplete(const std::string &root, bool retryQuarantined)
 
 namespace {
 
-/**
- * The one GridJob -> RunOptions mapping. Farm workers and the serial
- * reference both build a point's options here, so they cannot drift
- * apart — byte-identical merges depend on it. A worker adds only its
- * blackboxPath (and the shared trace, as SweepRunner does).
- */
-RunOptions
-gridRunOptions(const GridJob &job,
-               std::shared_ptr<const vm::ExternalTrace> xt,
-               std::uint64_t cycleBudget, double wallBudget)
-{
-    RunOptions ro;
-    ro.maxInsts = job.maxInsts;
-    ro.warmupInsts = job.warmupInsts;
-    ro.engine = job.engine;
-    ro.sampling = job.sampling;
-    ro.externalTrace = std::move(xt);
-    ro.maxCycles = cycleBudget;
-    ro.maxWallSeconds = wallBudget;
-    ro.captureManifest = true;
-    ro.canonicalManifest = true;
-    return ro;
-}
-
-/**
- * Run one resolved job through sim::run with bounded retry. Fills
- * @p rec (status/attempts/error) and, on success, @p result. Never
- * throws (except a SimulatedCrash, which must keep propagating —
- * a dead process runs nothing): any failure — unknown workload,
- * simulation error — becomes a quarantined record.
- */
+/** A SimulatedCrash means this process is dead: it must keep
+ *  propagating, never become a quarantined record. */
 void
-runJob(const Spool &sp, const GridJob &job, const WorkerOptions &opts,
-       ProgramCache &programs, TraceCache &traces, JobRecord &rec,
-       SimResult &result, bool &okRun)
+rethrowIfCrashed(const std::exception_ptr &failure)
 {
-    okRun = false;
+    if (!failure)
+        return;
     try {
-        std::shared_ptr<const vm::ExternalTrace> xt;
-        std::shared_ptr<const prog::Program> program =
-            resolveJobProgram(job, programs, xt);
-
-        RunOptions ro =
-            gridRunOptions(job, xt, opts.cycleBudget, opts.wallBudget);
-        ro.blackboxPath =
-            sp.blackboxDir() + "/" + Spool::blackboxFileName(job.id);
-
-        // The same bounded retry SweepRunner applies on its worker
-        // threads: transient failures back off and re-run; anything
-        // else quarantines immediately.
-        std::uint64_t backoff = opts.retry.backoffMs;
-        for (int attempt = 1;; ++attempt) {
-            rec.attempts = attempt;
-            try {
-                if (wantsSharedTrace(ro))
-                    ro.trace = traces.get(
-                        program, job.maxInsts
-                                     ? job.maxInsts + job.warmupInsts
-                                     : 0);
-                result = run(*program, job.cfg, ro);
-                okRun = true;
-                rec.status = attempt > 1 ? JobStatus::Recovered
-                                         : JobStatus::Ok;
-                return;
-            } catch (const io::SimulatedCrash &) {
-                throw;
-            } catch (...) {
-                rec.error = classifyError(std::current_exception());
-                if (!rec.error.transient ||
-                    attempt >= opts.retry.maxAttempts) {
-                    rec.status = JobStatus::Quarantined;
-                    return;
-                }
-            }
-            if (backoff > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoff));
-            backoff = std::min(backoff * 2, opts.retry.maxBackoffMs);
-        }
+        std::rethrow_exception(failure);
     } catch (const io::SimulatedCrash &) {
         throw;
     } catch (...) {
-        // Program-level trouble (unknown workload, unreadable trace):
-        // quarantine the point rather than kill the worker.
-        rec.error = classifyError(std::current_exception());
-        rec.status = JobStatus::Quarantined;
     }
 }
 
@@ -948,28 +896,6 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         return gridCache->jobs[id];
     };
 
-    /** Persist one finished point: manifest before result (a result
-     *  record's existence implies its manifest is readable, whatever
-     *  instant we die at), then drop the claim. */
-    auto persist = [&](const SpoolEntry &e, const std::string &cp,
-                       JobRecord &rec, const SimResult &result,
-                       bool okRun, double wallSeconds) {
-        rec.wallSeconds = wallSeconds;
-        const std::string manifestPath =
-            sp.resultsDir() + "/" + Spool::manifestFileName(e.id);
-        if (okRun) {
-            rec.manifestCrc = crc32Hex(crc32(result.manifestJson));
-            writeFileTextAtomic(manifestPath, result.manifestJson);
-        } else {
-            rec.manifestCrc.clear();
-            removeFileIfExists(manifestPath);
-        }
-        writeJobRecord(sp, rec);
-        heartbeat.release(cp);
-        removeFileIfExists(cp);
-        ++completed;
-    };
-
     /** Claim one pending job file and convert the claim into a lease
      *  document (pid + acquisition time, mtime refreshed by the
      *  heartbeat). The spec text read back from the claim lands in
@@ -998,16 +924,13 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         return true;
     };
 
-    /** Run one claimed point and persist its result. */
+    /** Run one claimed point and persist it: manifest before result
+     *  (a result record's existence implies its manifest is readable,
+     *  whatever instant we die at), then drop the claim. */
     auto runOne = [&](const SpoolEntry &e, const std::string &cp,
                       const std::string &specText) {
-        JobRecord rec;
-        rec.id = e.id;
-        rec.shard = e.shard;
-        rec.worker = opts.workerId;
-        SimResult result;
-        bool okRun = false;
         auto t0 = std::chrono::steady_clock::now();
+        JobRun run;
         try {
             GridJob job;
             try {
@@ -1022,20 +945,43 @@ runWorker(const std::string &root, const WorkerOptions &opts)
                      static_cast<unsigned long long>(e.id));
                 job = jobFromGrid(e.id);
             }
-            runJob(sp, job, opts, programs, traces, rec, result,
-                   okRun);
-        } catch (const io::SimulatedCrash &) {
-            throw;
+            SweepJob sj = gridSweepJob(job, programs, opts.cycleBudget,
+                                       opts.wallBudget);
+            sj.opts.blackboxPath =
+                sp.blackboxDir() + "/" + Spool::blackboxFileName(job.id);
+            run = runJob(std::move(sj), &traces, opts.retry);
         } catch (...) {
-            // grid.json unreadable or the id out of range: quarantine
-            // the point rather than kill the worker.
-            rec.error = classifyError(std::current_exception());
-            rec.status = JobStatus::Quarantined;
+            // The point could not be set up (grid.json unreadable, id
+            // out of range, unknown workload, unreadable trace):
+            // quarantine it rather than kill the worker.
+            run.failure = std::current_exception();
+            run.outcome.error = classifyError(run.failure);
+            run.outcome.status = JobStatus::Quarantined;
         }
-        persist(e, cp, rec, result, okRun,
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
+        rethrowIfCrashed(run.failure);
+
+        JobRecord rec;
+        rec.id = e.id;
+        rec.status = run.outcome.status;
+        rec.attempts = run.outcome.attempts;
+        rec.error = run.outcome.error;
+        rec.worker = opts.workerId;
+        rec.shard = e.shard;
+        rec.wallSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        const std::string manifestPath =
+            sp.resultsDir() + "/" + Spool::manifestFileName(e.id);
+        if (rec.status != JobStatus::Quarantined) {
+            rec.manifestCrc = crc32Hex(crc32(run.result.manifestJson));
+            writeFileTextAtomic(manifestPath, run.result.manifestJson);
+        } else {
+            removeFileIfExists(manifestPath);
+        }
+        writeJobRecord(sp, rec);
+        heartbeat.release(cp);
+        removeFileIfExists(cp);
+        ++completed;
     };
 
     while (true) {
@@ -1124,33 +1070,19 @@ mergeSpool(const std::string &root, const std::string &mergedPath,
             fatal("'%s' holds id %llu", resultPath.c_str(),
                   static_cast<unsigned long long>(rec.id));
 
-        JobOutcome jo;
-        jo.status = rec.status;
-        jo.attempts = rec.attempts;
-        jo.error = rec.error;
-        if (rec.status == JobStatus::Quarantined) {
-            ++out.numQuarantined;
-            out.degraded = true;
-            out.results.emplace_back();
-            out.results.back().quarantined = true;
-        } else {
-            if (rec.status == JobStatus::Recovered)
-                ++out.numRecovered;
-            SimResult r;
+        SimResult r;
+        if (rec.status != JobStatus::Quarantined) {
             // The raw bytes the worker captured — never re-parsed,
             // never re-serialized, so the merged document is
             // byte-identical to an in-process sweep's by
             // construction. CRC-verified first: damaged bytes are
             // quarantined, never spliced.
-            std::string bytes;
-            if (!manifestMatchesRecord(sp, rec, bytes)) {
+            if (!manifestMatchesRecord(sp, rec, r.manifestJson)) {
                 quarantineResult(job.id, "manifest");
                 continue;
             }
-            r.manifestJson = std::move(bytes);
-            out.results.push_back(std::move(r));
         }
-        out.jobs.push_back(std::move(jo));
+        out.add({rec.status, rec.attempts, rec.error}, std::move(r));
         records.push_back(std::move(rec));
     }
     if (corrupt)
@@ -1308,22 +1240,43 @@ superviseFarm(const std::string &root, const SupervisorOptions &opts)
         return false;
     };
 
-    /** Write a quarantined placeholder record for a point the lease
-     *  machinery gave up on, and drop its claim. */
-    auto quarantinePoint = [&](const SpoolEntry &e, int attempts,
+    /** Quarantine a point the supervisor gave up on: a placeholder
+     *  record carrying a non-transient @p kind error, then drop the
+     *  claim. */
+    auto quarantineClaim = [&](const SpoolEntry &e,
                                const std::string &claimPath,
-                               const std::string &message) {
+                               int attempts, const char *kind,
+                               std::string message) {
         JobRecord rec;
         rec.id = e.id;
         rec.status = JobStatus::Quarantined;
         rec.attempts = std::max(attempts, 1);
-        rec.error = {"hung", message, false};
+        rec.error = {kind, std::move(message), false};
         rec.worker = e.worker;
         rec.shard = e.shard;
         removeFileIfExists(sp.resultsDir() + "/" +
                            Spool::manifestFileName(e.id));
         writeJobRecord(sp, rec);
         removeFileIfExists(claimPath);
+    };
+
+    /** A claim was lost: its worker died, or its lease went stale.
+     *  Count the loss, then requeue the point — or, once it has cost
+     *  crashQuarantineAfter claims, quarantine it with @p kind and
+     *  the message @p describe(losses) words. */
+    auto loseClaim = [&](const SpoolEntry &e,
+                         const std::string &claimPath, const char *kind,
+                         auto describe) {
+        int losses = ++crashCounts[e.id];
+        if (losses < opts.crashQuarantineAfter) {
+            removeFileIfExists(claimPath);
+            rebuildJobFile(e.id, e.shard);
+            return;
+        }
+        std::string message = describe(losses);
+        warn("farm: quarantining job %llu: %s",
+             static_cast<unsigned long long>(e.id), message.c_str());
+        quarantineClaim(e, claimPath, losses, kind, std::move(message));
     };
 
     // Requeue what a dead worker left in claims/; a point that keeps
@@ -1344,30 +1297,11 @@ superviseFarm(const std::string &root, const SupervisorOptions &opts)
                 removeFileIfExists(claimPath);
                 continue;
             }
-            int crashes = ++crashCounts[e.id];
-            if (crashes >= opts.crashQuarantineAfter) {
-                warn("farm: job %llu crashed its worker %d times; "
-                     "quarantining it",
-                     static_cast<unsigned long long>(e.id), crashes);
-                JobRecord rec;
-                rec.id = e.id;
-                rec.status = JobStatus::Quarantined;
-                rec.attempts = crashes;
-                rec.error = {"crash",
-                             format("job took its worker process down "
-                                    "%d time(s); last: %s",
-                                    crashes, why.c_str()),
-                             false};
-                rec.worker = e.worker;
-                rec.shard = e.shard;
-                removeFileIfExists(sp.resultsDir() + "/" +
-                                   Spool::manifestFileName(e.id));
-                writeJobRecord(sp, rec);
-                removeFileIfExists(claimPath);
-            } else {
-                removeFileIfExists(claimPath);
-                rebuildJobFile(e.id, e.shard);
-            }
+            loseClaim(e, claimPath, "crash", [&](int crashes) {
+                return format("job took its worker process down %d "
+                              "time(s); last: %s",
+                              crashes, why.c_str());
+            });
         }
     };
 
@@ -1391,61 +1325,38 @@ superviseFarm(const std::string &root, const SupervisorOptions &opts)
                 io::vfs().fileAgeSeconds(claimPath);
             if (heartbeatAge < 0)
                 continue; // Claim vanished mid-scan.
+            ClaimInfo lease;
+            readLease(claimPath, lease);
 
-            double jobAge = -1;
-            try {
-                JsonValue doc = parseJson(readFileText(claimPath));
-                const std::string w = "claim";
-                if (doc.at("schema", w).asString(w + ".schema") ==
-                    kClaimSchema)
-                    jobAge = std::difftime(
-                        std::time(nullptr),
-                        static_cast<std::time_t>(
-                            doc.at("acquired_unix", w)
-                                .asUint(w + ".acquired_unix")));
-            } catch (...) {
-                // Pre-lease window or vanished file: only the
-                // heartbeat age is known.
-            }
-
-            if (opts.jobWallSecs > 0 && jobAge > opts.jobWallSecs) {
+            if (opts.jobWallSecs > 0 && lease.jobAge > opts.jobWallSecs) {
                 warn("farm: job %llu has held its claim %.1fs "
                      "(> --job-wall-secs=%.1f); quarantining it and "
                      "killing worker %s",
-                     static_cast<unsigned long long>(e.id), jobAge,
-                     opts.jobWallSecs, e.worker.c_str());
+                     static_cast<unsigned long long>(e.id),
+                     lease.jobAge, opts.jobWallSecs, e.worker.c_str());
                 killWorker(e.worker);
-                quarantinePoint(
-                    e, crashCounts[e.id] + 1, claimPath,
+                quarantineClaim(
+                    e, claimPath, crashCounts[e.id] + 1, "hung",
                     format("job exceeded the per-job wall clock "
                            "(ran %.1fs, budget %.1fs); worker %s was "
                            "SIGKILLed",
-                           jobAge, opts.jobWallSecs,
+                           lease.jobAge, opts.jobWallSecs,
                            e.worker.c_str()));
                 continue;
             }
 
             if (opts.leaseSecs > 0 && heartbeatAge > opts.leaseSecs) {
-                int losses = ++crashCounts[e.id];
                 warn("farm: lease on job %llu went stale (heartbeat "
                      "%.1fs old > --lease-secs=%.1f); killing worker "
-                     "%s and %s",
+                     "%s",
                      static_cast<unsigned long long>(e.id),
-                     heartbeatAge, opts.leaseSecs, e.worker.c_str(),
-                     losses >= opts.crashQuarantineAfter
-                         ? "quarantining the point"
-                         : "reclaiming the point");
+                     heartbeatAge, opts.leaseSecs, e.worker.c_str());
                 killWorker(e.worker);
-                if (losses >= opts.crashQuarantineAfter) {
-                    quarantinePoint(
-                        e, losses, claimPath,
-                        format("lease went stale %d time(s); the "
-                               "point hangs its workers",
-                               losses));
-                } else {
-                    removeFileIfExists(claimPath);
-                    rebuildJobFile(e.id, e.shard);
-                }
+                loseClaim(e, claimPath, "hung", [](int losses) {
+                    return format("lease went stale %d time(s); the "
+                                  "point hangs its workers",
+                                  losses);
+                });
             }
         }
     };
@@ -1528,13 +1439,9 @@ runSerial(const GridSpec &spec, unsigned workers,
     if (traceCacheBytes)
         runner.setTraceCacheBudget(traceCacheBytes);
     ProgramCache programs;
-    for (const GridJob &job : spec.jobs) {
-        std::shared_ptr<const vm::ExternalTrace> xt;
-        std::shared_ptr<const prog::Program> program =
-            resolveJobProgram(job, programs, xt);
-        runner.submit(program, job.cfg,
-                      gridRunOptions(job, xt, cycleBudget, wallBudget));
-    }
+    for (const GridJob &job : spec.jobs)
+        runner.submit(
+            gridSweepJob(job, programs, cycleBudget, wallBudget));
     SweepOutcome out = runner.collectOutcome();
     if (!mergedPath.empty())
         writeSweepManifestFile(spec.title, out, mergedPath);

@@ -1,8 +1,10 @@
 /**
  * @file
  * The sweep farm: durable, sharded, resumable multi-process execution
- * of a ddsim-grid-v1 parameter grid, layered on the same sim::run /
- * retry / quarantine machinery sim::SweepRunner uses in-process.
+ * of a ddsim-grid-v1 parameter grid. Each point runs through
+ * sim::runJob, the retry/quarantine loop sim::SweepRunner's threads
+ * call in-process; the farm adds only what is truly distributed:
+ * spool layout, rename(2) claims, leases, seals and merge.
  *
  * A grid is persisted as a *spool* directory — one atomic job-spec
  * file per grid point — and executed by worker processes that claim
@@ -45,9 +47,11 @@
  * signaled exit, requeues the dead worker's claims, respawns a
  * replacement, and — after a bounded number of crashes at the same
  * point — quarantines that job with a "crash" error instead of
- * retrying forever. Workers asked to stop (SIGTERM) drain
- * gracefully: the in-flight point completes and persists, no claim
- * is stranded, and the process exits cleanly.
+ * retrying forever. A dead worker and a stale lease are the same
+ * event to the supervisor, a lost claim, and count together. Workers
+ * asked to stop (SIGTERM) drain gracefully: the in-flight point
+ * completes and persists, no claim is stranded, and the process exits
+ * cleanly.
  *
  * Resume: every artifact is written atomically through io::vfs()
  * (write, fsync, rename, directory fsync — each step
@@ -245,7 +249,7 @@ struct WorkerOptions
 
 /**
  * The worker: claim spooled jobs (own shard first, then steal), run
- * each through sim::run with SweepRunner's retry/quarantine policy,
+ * each through sim::runJob (SweepRunner's retry/quarantine policy),
  * write the manifest and result record atomically, and loop until the
  * spool offers nothing claimable. Traces and programs are cached per
  * worker process, so a worker amortizes functional execution across

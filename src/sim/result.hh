@@ -26,7 +26,13 @@ struct SamplingStats
     std::uint64_t windows = 0;    ///< Measured windows taken.
     std::uint64_t detailInsts = 0; ///< Instructions measured in detail.
     std::uint64_t detailCycles = 0; ///< Cycles spent in measured windows.
-    double ipcCi95 = 0.0;         ///< 95% confidence half-width on IPC.
+    /**
+     * 95% confidence half-width of the reported IPC, which is the
+     * ratio estimator detailInsts / detailCycles: computed from
+     * per-window CPI residuals and mapped to IPC by the delta method.
+     * 0 with fewer than two windows.
+     */
+    double ipcCi95 = 0.0;
 };
 
 /** Outcome of one (program, configuration) simulation. */

@@ -10,6 +10,7 @@
 #include "robust/fault_inject.hh"
 #include "stats/formatter.hh"
 #include "util/log.hh"
+#include "util/str.hh"
 #include "vm/executor.hh"
 #include "vm/xtrace.hh"
 
@@ -20,6 +21,7 @@
 #include <new>
 #include <optional>
 #include <thread>
+#include <utility>
 
 namespace ddsim::sim {
 
@@ -34,31 +36,6 @@ engineName(Engine e)
     }
     return "?";
 }
-
-namespace {
-
-/** Levenshtein distance for the --engine= did-you-mean suggestion. */
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            std::size_t next = std::min(
-                {row[j] + 1, row[j - 1] + 1,
-                 diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-            diag = row[j];
-            row[j] = next;
-        }
-    }
-    return row[b.size()];
-}
-
-} // namespace
 
 Engine
 engineFromName(const std::string &name)
@@ -92,55 +69,6 @@ namespace {
 
 /** Number of committed instructions the crash report retains. */
 constexpr std::size_t kBlackboxCommits = 32;
-
-/**
- * Flatten the dying run's state into a BlackboxInfo and write it.
- * Never throws: a failing crash report must not mask the crash.
- */
-void
-emitBlackbox(const RunOptions &opts, const prog::Program &program,
-             const config::MachineConfig &cfg, cpu::Pipeline &pipe,
-             const stats::Group &root, const SimError &e)
-{
-    obs::BlackboxInfo bi;
-    bi.workload = program.name();
-    bi.label = opts.label;
-    bi.cfg = cfg;
-    bi.maxInsts = opts.maxInsts;
-    bi.warmupInsts = opts.warmupInsts;
-    bi.traceReplay = static_cast<bool>(opts.trace);
-    bi.maxCycles = opts.maxCycles;
-    bi.maxWallSeconds = opts.maxWallSeconds;
-
-    bi.errorKind = e.kind();
-    bi.errorMessage = e.what();
-    bi.errorTransient = e.transient();
-    bi.errorContext = e.context();
-
-    cpu::OccupancySnapshot s = pipe.snapshotOccupancy();
-    bi.cycle = s.cycle;
-    bi.lastCommitCycle = s.lastCommitCycle;
-    bi.robOccupancy = s.robOccupancy;
-    bi.robSize = s.robSize;
-    bi.lsqOccupancy = s.lsqOccupancy;
-    bi.lsqSize = s.lsqSize;
-    bi.lvaqOccupancy = s.lvaqOccupancy;
-    bi.lvaqSize = s.lvaqSize;
-    bi.fetchQueue = s.fetchQueue;
-    bi.fetched = s.fetched;
-    bi.committed = s.committed;
-    for (const cpu::CommittedRecord &c : pipe.commitLog())
-        bi.lastCommits.push_back({c.seq, c.pcIdx,
-                                  isa::disassemble(c.inst), c.cycle});
-    bi.stats = &root;
-
-    try {
-        obs::writeBlackboxFile(bi, opts.blackboxPath);
-    } catch (const std::exception &we) {
-        warn("could not write black-box report '%s': %s",
-             opts.blackboxPath.c_str(), we.what());
-    }
-}
 
 /**
  * Fault-injection probe: resolved once per run attempt, before any
@@ -233,15 +161,45 @@ externalVerdictTable(const vm::ExternalTrace &xt)
     return table;
 }
 
-/**
- * Shared up-front validation for RunOptions::externalTrace. An
- * external trace *is* the instruction stream, so it cannot coexist
- * with an explicit replay trace, and there is nothing for the live
- * engine to execute.
- */
+/** The option checks that need no machine state: the sampled
+ *  engine's plan and limits, then the external-trace rules. */
 void
-checkExternalOptions(const RunOptions &opts)
+checkOptions(const RunOptions &opts)
 {
+    if (opts.engine == Engine::Sampled) {
+        const SamplingPlan &sp = opts.sampling;
+        if (sp.period == 0 || sp.detail == 0)
+            raise(ConfigError("sampling",
+                              "sampled engine needs a non-zero sampling "
+                              "period and detail window"));
+        // Checked as two subtraction-safe comparisons: the obvious
+        // `warmup + detail > period` wraps around for plans near
+        // UINT64_MAX and would wave an impossible plan through (the
+        // fast-forward length `period - warmup - detail` then
+        // underflows to an astronomically long skip).
+        if (sp.warmup > sp.period || sp.detail > sp.period - sp.warmup)
+            raise(ConfigError(
+                "sampling",
+                format("sampling warmup (%llu) + detail (%llu) must fit "
+                       "within the period (%llu)",
+                       static_cast<unsigned long long>(sp.warmup),
+                       static_cast<unsigned long long>(sp.detail),
+                       static_cast<unsigned long long>(sp.period))));
+        if (opts.warmupInsts > 0)
+            raise(ConfigError("warmup_insts",
+                              "the sampled engine warms up per window "
+                              "(SamplingPlan::warmup); a whole-run "
+                              "warmup phase does not compose with "
+                              "sampling"));
+        if (!opts.tracePath.empty() || opts.verifyTrace)
+            raise(ConfigError("trace_path",
+                              "a pipeline lifecycle trace of a sampled "
+                              "run would cover only the detailed "
+                              "windows; use an exact engine"));
+    }
+    // An external trace *is* the instruction stream, so it cannot
+    // coexist with an explicit replay trace, and there is nothing for
+    // the live engine to execute.
     if (!opts.externalTrace)
         return;
     if (opts.engine == Engine::Live)
@@ -254,6 +212,42 @@ checkExternalOptions(const RunOptions &opts)
                           "RunOptions::trace and externalTrace are "
                           "mutually exclusive; the external trace "
                           "supplies the replay stream itself"));
+}
+
+/** Everything that runs before the stream is chosen: the option
+ *  checks, the fault probe, then cfg.validate(). */
+robust::RunFaultPlan
+checkAndProbe(const prog::Program &program,
+              const config::MachineConfig &cfg, const RunOptions &opts)
+{
+    checkOptions(opts);
+    robust::RunFaultPlan plan = probeFaults(program, cfg);
+    cfg.validate();
+    return plan;
+}
+
+/**
+ * The recording the run replays, or null to execute live. An ingested
+ * external trace always replays; a supplied recording replays on every
+ * engine but Live; Engine::Replay records one when none was supplied.
+ */
+std::shared_ptr<const vm::RecordedTrace>
+resolveTrace(const prog::Program &program, const RunOptions &opts)
+{
+    std::shared_ptr<const vm::RecordedTrace> trace =
+        opts.externalTrace
+            ? vm::ExternalTrace::sharedTrace(opts.externalTrace)
+        : opts.engine != Engine::Live ? opts.trace
+                                      : nullptr;
+    if (trace) {
+        if (&trace->program() != &program)
+            panic("RunOptions::trace was recorded from a different "
+                  "program");
+    } else if (opts.engine == Engine::Replay) {
+        trace = std::make_shared<const vm::RecordedTrace>(
+            vm::RecordedTrace::record(program, fetchCap(opts)));
+    }
+    return trace;
 }
 
 /** Copy the pipeline's counters into @p r (everything except
@@ -298,16 +292,205 @@ extractCounters(SimResult &r, cpu::Pipeline &pipe)
 }
 
 /**
- * Assemble and attach/write the run manifest for an already-final
- * SimResult. @p engine is the *effective* engine string — "live",
- * "replay" or "sampled".
+ * One run, from its option checks to its manifest: everything the
+ * engines share. The constructor checks the options, probes for
+ * injected faults, validates the machine, picks the stream and builds
+ * the pipeline with its static verdicts, guards and injected faults;
+ * measure() hands the pipeline to an engine loop and turns what the
+ * loop leaves into a SimResult — or, on a SimError, into a black box.
+ * An engine is only its loop and how it derives cycles and IPC.
+ */
+class RunSession
+{
+  public:
+    /**
+     * An engine loop: drive pipe to the end of the run, bracketing
+     * the measured phase with attachObservers() / finishObservers(),
+     * and set @p r's cycles, committed and ipc.
+     */
+    using Loop = void (*)(RunSession &s, SimResult &r);
+
+    RunSession(const prog::Program &program,
+               const config::MachineConfig &cfg, const RunOptions &opts)
+        : opts(opts), program(program), cfg(cfg),
+          plan(checkAndProbe(program, cfg, opts)),
+          trace(resolveTrace(program, opts)),
+          src(trace ? static_cast<vm::InstSource &>(replay.emplace(*trace))
+                    : exec.emplace(program)),
+          pipe(&root, cfg, src)
+    {
+        if (cfg.classifier == config::ClassifierKind::StaticHybrid)
+            pipe.classifier().setStaticVerdicts(
+                opts.externalTrace
+                    ? externalVerdictTable(*opts.externalTrace)
+                    : staticVerdictTable(program));
+        if (!opts.blackboxPath.empty())
+            pipe.enableCommitLog(kBlackboxCommits);
+        if (opts.maxCycles != 0 || opts.maxWallSeconds > 0)
+            // Armed before warmup: warmup and measurement share
+            // budgets.
+            pipe.setGuards({opts.maxCycles, opts.maxWallSeconds});
+        if (plan.dropWakeupAt != 0)
+            pipe.armWakeupDrop(plan.dropWakeupAt);
+    }
+
+    SimResult measure(Loop loop);
+
+    /** Attach the sampler and tracer and start the wall clock; call
+     *  after any warmup, so they cover exactly the measured phase. */
+    void attachObservers();
+
+    /** Stop the wall clock, then finish, detach and write the
+     *  observers (and self-check the trace when asked to). */
+    void finishObservers();
+
+    const RunOptions &options() const { return opts; }
+    vm::InstSource &source() { return src; }
+    cpu::Pipeline &pipeline() { return pipe; }
+
+  private:
+    // Declaration order is construction order: the probe runs before
+    // the trace is recorded, and pipe needs root and src built.
+    const RunOptions &opts;
+    const prog::Program &program;
+    const config::MachineConfig &cfg;
+    robust::RunFaultPlan plan;
+    /** The stream actually replayed; null when executing live. */
+    std::shared_ptr<const vm::RecordedTrace> trace;
+    stats::Group root{nullptr, ""};
+    std::optional<vm::Executor> exec;
+    std::optional<vm::TraceReplay> replay;
+    vm::InstSource &src;
+    cpu::Pipeline pipe;
+    std::optional<obs::Sampler> sampler;
+    std::optional<obs::PipelineTracer> tracer;
+    std::chrono::steady_clock::time_point t0;
+    double wallSeconds = 0.0;
+
+    void emitBlackbox(const SimError &e);
+    void attachManifest(SimResult &r);
+};
+
+SimResult
+RunSession::measure(Loop loop)
+{
+    SimResult r;
+    try {
+        loop(*this, r);
+    } catch (const SimError &e) {
+        // Leave no torn observability outputs behind, write the
+        // crash report, and hand the typed error to the supervisor.
+        pipe.setSampler(nullptr);
+        pipe.setTracer(nullptr);
+        if (tracer)
+            tracer->abandon();
+        if (!opts.blackboxPath.empty())
+            emitBlackbox(e);
+        throw;
+    }
+    r.program = program.name();
+    r.notation = cfg.notation();
+    extractCounters(r, pipe);
+    if (opts.captureStats)
+        r.statsText = stats::toText(root);
+    attachManifest(r);
+    return r;
+}
+
+void
+RunSession::attachObservers()
+{
+    if (opts.sampleInterval > 0) {
+        sampler.emplace(root, opts.sampleInterval, opts.sampleFilter);
+        pipe.setSampler(&*sampler);
+    }
+    if (!opts.tracePath.empty()) {
+        tracer.emplace(opts.tracePath, program.name(), cfg.notation(),
+                       opts.label, cfg.robSize);
+        pipe.setTracer(&*tracer);
+    }
+    t0 = std::chrono::steady_clock::now();
+}
+
+void
+RunSession::finishObservers()
+{
+    wallSeconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    if (sampler)
+        sampler->finish(pipe.committedInsts.value(),
+                        pipe.numCycles.value());
+    if (tracer)
+        tracer->finish();
+    pipe.setSampler(nullptr);
+    pipe.setTracer(nullptr);
+    if (sampler && !opts.samplePath.empty())
+        sampler->dumpFile(opts.samplePath);
+
+    if (plan.corruptTrace && !opts.tracePath.empty())
+        robust::FaultInjector::active()->corruptFile(opts.tracePath);
+    if (opts.verifyTrace && !opts.tracePath.empty()) {
+        // Full decode self-check; raises TraceCorruptError on any
+        // damage between finalize and here.
+        obs::TraceReader verify(opts.tracePath);
+        obs::TraceRecord rec;
+        while (verify.next(rec)) {
+        }
+    }
+}
+
+/**
+ * Flatten the dying run's state into a BlackboxInfo and write it.
+ * Never throws: a failing crash report must not mask the crash.
  */
 void
-attachManifest(SimResult &r, const prog::Program &program,
-               const config::MachineConfig &cfg,
-               const RunOptions &opts, cpu::Pipeline &pipe,
-               const stats::Group &root, double wallSeconds,
-               bool usedTrace, const char *engine)
+RunSession::emitBlackbox(const SimError &e)
+{
+    obs::BlackboxInfo bi;
+    bi.workload = program.name();
+    bi.label = opts.label;
+    bi.cfg = cfg;
+    bi.maxInsts = opts.maxInsts;
+    bi.warmupInsts = opts.warmupInsts;
+    bi.traceReplay = static_cast<bool>(trace);
+    bi.maxCycles = opts.maxCycles;
+    bi.maxWallSeconds = opts.maxWallSeconds;
+
+    bi.errorKind = e.kind();
+    bi.errorMessage = e.what();
+    bi.errorTransient = e.transient();
+    bi.errorContext = e.context();
+
+    cpu::OccupancySnapshot s = pipe.snapshotOccupancy();
+    bi.cycle = s.cycle;
+    bi.lastCommitCycle = s.lastCommitCycle;
+    bi.robOccupancy = s.robOccupancy;
+    bi.robSize = s.robSize;
+    bi.lsqOccupancy = s.lsqOccupancy;
+    bi.lsqSize = s.lsqSize;
+    bi.lvaqOccupancy = s.lvaqOccupancy;
+    bi.lvaqSize = s.lvaqSize;
+    bi.fetchQueue = s.fetchQueue;
+    bi.fetched = s.fetched;
+    bi.committed = s.committed;
+    for (const cpu::CommittedRecord &c : pipe.commitLog())
+        bi.lastCommits.push_back({c.seq, c.pcIdx,
+                                  isa::disassemble(c.inst), c.cycle});
+    bi.stats = &root;
+
+    try {
+        obs::writeBlackboxFile(bi, opts.blackboxPath);
+    } catch (const std::exception &we) {
+        warn("could not write black-box report '%s': %s",
+             opts.blackboxPath.c_str(), we.what());
+    }
+}
+
+/** Assemble the run manifest for the finished @p r; capture it and/or
+ *  write it as the options ask. */
+void
+RunSession::attachManifest(SimResult &r)
 {
     if (!opts.captureManifest && opts.manifestPath.empty())
         return;
@@ -317,8 +500,10 @@ attachManifest(SimResult &r, const prog::Program &program,
     mi.cfg = cfg;
     mi.maxInsts = opts.maxInsts;
     mi.warmupInsts = opts.warmupInsts;
-    mi.traceReplay = usedTrace;
-    mi.engine = engine;
+    mi.traceReplay = static_cast<bool>(trace);
+    mi.engine = opts.engine == Engine::Sampled ? "sampled"
+                : trace                        ? "replay"
+                                               : "live";
     mi.maxCycles = opts.maxCycles;
     mi.maxWallSeconds = opts.maxWallSeconds;
     mi.tracePath = opts.tracePath;
@@ -362,141 +547,22 @@ attachManifest(SimResult &r, const prog::Program &program,
  * bit-identical (the front end is configuration-oblivious). Handles
  * Engine::Auto/Live/Replay.
  */
-SimResult
-runExact(const prog::Program &program,
-         const config::MachineConfig &cfg, const RunOptions &opts)
+void
+runExact(RunSession &s, SimResult &r)
 {
-    checkExternalOptions(opts);
-    robust::RunFaultPlan plan = probeFaults(program, cfg);
-
-    cfg.validate();
-
-    // The instruction stream: replay the shared recording when one is
-    // supplied (or the engine demands one), otherwise execute
-    // functionally. An ingested external trace always replays.
-    bool wantReplay = opts.engine == Engine::Replay ||
-                      opts.externalTrace ||
-                      (opts.engine == Engine::Auto && opts.trace);
-    std::shared_ptr<const vm::RecordedTrace> trace;
-    if (wantReplay) {
-        trace = opts.externalTrace
-                    ? vm::ExternalTrace::sharedTrace(opts.externalTrace)
-                    : opts.trace;
-        if (trace) {
-            if (&trace->program() != &program)
-                panic("RunOptions::trace was recorded from a "
-                      "different program");
-        } else {
-            std::uint64_t cap =
-                opts.maxInsts ? opts.maxInsts + opts.warmupInsts : 0;
-            trace = std::make_shared<const vm::RecordedTrace>(
-                vm::RecordedTrace::record(program, cap));
-        }
+    cpu::Pipeline &pipe = s.pipeline();
+    const RunOptions &opts = s.options();
+    if (opts.warmupInsts > 0) {
+        pipe.runUntilFetched(opts.warmupInsts);
+        pipe.resetStats();
     }
+    s.attachObservers();
+    pipe.run(fetchCap(opts)); // maxInsts excludes warmup
+    s.finishObservers();
 
-    stats::Group root(nullptr, "");
-    std::optional<vm::Executor> exec;
-    std::optional<vm::TraceReplay> replay;
-    vm::InstSource *src;
-    if (trace)
-        src = &replay.emplace(*trace);
-    else
-        src = &exec.emplace(program);
-    cpu::Pipeline pipe(&root, cfg, *src);
-
-    if (cfg.classifier == config::ClassifierKind::StaticHybrid)
-        pipe.classifier().setStaticVerdicts(
-            opts.externalTrace
-                ? externalVerdictTable(*opts.externalTrace)
-                : staticVerdictTable(program));
-
-    if (!opts.blackboxPath.empty())
-        pipe.enableCommitLog(kBlackboxCommits);
-    if (opts.maxCycles != 0 || opts.maxWallSeconds > 0)
-        // Armed before warmup: warmup and measurement share budgets.
-        pipe.setGuards({opts.maxCycles, opts.maxWallSeconds});
-    if (plan.dropWakeupAt != 0)
-        pipe.armWakeupDrop(plan.dropWakeupAt);
-
-    std::optional<obs::Sampler> sampler;
-    std::optional<obs::PipelineTracer> tracer;
-    double wallSeconds = 0.0;
-    try {
-        if (opts.warmupInsts > 0) {
-            pipe.runUntilFetched(opts.warmupInsts);
-            pipe.resetStats();
-        }
-
-        // Observability attaches after warmup so samples and trace
-        // records cover exactly the measured phase.
-        if (opts.sampleInterval > 0) {
-            sampler.emplace(root, opts.sampleInterval,
-                            opts.sampleFilter);
-            pipe.setSampler(&*sampler);
-        }
-        if (!opts.tracePath.empty()) {
-            tracer.emplace(opts.tracePath, program.name(),
-                           cfg.notation(), opts.label, cfg.robSize);
-            pipe.setTracer(&*tracer);
-        }
-
-        // maxInsts counts measured instructions, excluding warmup.
-        std::uint64_t limit =
-            opts.maxInsts ? opts.maxInsts + opts.warmupInsts : 0;
-        auto t0 = std::chrono::steady_clock::now();
-        pipe.run(limit);
-        wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-
-        if (sampler)
-            sampler->finish(pipe.committedInsts.value(),
-                            pipe.numCycles.value());
-        if (tracer)
-            tracer->finish();
-        pipe.setSampler(nullptr);
-        pipe.setTracer(nullptr);
-        if (sampler && !opts.samplePath.empty())
-            sampler->dumpFile(opts.samplePath);
-
-        if (plan.corruptTrace && !opts.tracePath.empty())
-            robust::FaultInjector::active()->corruptFile(
-                opts.tracePath);
-        if (opts.verifyTrace && !opts.tracePath.empty()) {
-            // Full decode self-check; raises TraceCorruptError on any
-            // damage between finalize and here.
-            obs::TraceReader verify(opts.tracePath);
-            obs::TraceRecord rec;
-            while (verify.next(rec)) {
-            }
-        }
-    } catch (const SimError &e) {
-        // Leave no torn observability outputs behind, write the
-        // crash report, and hand the typed error to the supervisor.
-        pipe.setSampler(nullptr);
-        pipe.setTracer(nullptr);
-        if (tracer)
-            tracer->abandon();
-        if (!opts.blackboxPath.empty())
-            emitBlackbox(opts, program, cfg, pipe, root, e);
-        throw;
-    }
-
-    SimResult r;
-    r.program = program.name();
-    r.notation = cfg.notation();
     r.cycles = pipe.numCycles.value();
     r.committed = pipe.committedInsts.value();
     r.ipc = pipe.ipc();
-    extractCounters(r, pipe);
-
-    if (opts.captureStats)
-        r.statsText = stats::toText(root);
-
-    attachManifest(r, program, cfg, opts, pipe, root, wallSeconds,
-                   static_cast<bool>(trace),
-                   trace ? "replay" : "live");
-    return r;
 }
 
 /**
@@ -510,87 +576,23 @@ runExact(const prog::Program &program,
  * and the per-window warm-up re-fills the in-flight structures before
  * each measurement — the "detailed warm-up" SMARTS variant.
  *
- * IPC is the ratio estimator sum(window insts)/sum(window cycles);
- * the 95% confidence half-width over per-window IPCs lands in
- * SimResult::sampling.ipcCi95. cycles is back-derived from the
- * estimate so the manifest invariant ipc == committed/cycles holds.
+ * IPC is the ratio estimator sum(window insts)/sum(window cycles),
+ * and SimResult::sampling.ipcCi95 is that estimator's 95% confidence
+ * half-width. cycles is back-derived from the estimate so the
+ * manifest invariant ipc == committed/cycles holds.
  */
-SimResult
-runSampled(const prog::Program &program,
-           const config::MachineConfig &cfg, const RunOptions &opts)
+void
+runSampled(RunSession &s, SimResult &r)
 {
-    const SamplingPlan &sp = opts.sampling;
-    if (sp.period == 0 || sp.detail == 0)
-        raise(ConfigError("sampling",
-                          "sampled engine needs a non-zero sampling "
-                          "period and detail window"));
-    // Checked as two subtraction-safe comparisons: the obvious
-    // `warmup + detail > period` wraps around for plans near
-    // UINT64_MAX and would wave an impossible plan through (the
-    // fast-forward length `period - warmup - detail` then underflows
-    // to an astronomically long skip).
-    if (sp.warmup > sp.period || sp.detail > sp.period - sp.warmup)
-        raise(ConfigError(
-            "sampling",
-            format("sampling warmup (%llu) + detail (%llu) must fit "
-                   "within the period (%llu)",
-                   static_cast<unsigned long long>(sp.warmup),
-                   static_cast<unsigned long long>(sp.detail),
-                   static_cast<unsigned long long>(sp.period))));
-    if (opts.warmupInsts > 0)
-        raise(ConfigError("warmup_insts",
-                          "the sampled engine warms up per window "
-                          "(SamplingPlan::warmup); a whole-run warmup "
-                          "phase does not compose with sampling"));
-    if (!opts.tracePath.empty() || opts.verifyTrace)
-        raise(ConfigError("trace_path",
-                          "a pipeline lifecycle trace of a sampled "
-                          "run would cover only the detailed windows; "
-                          "use an exact engine"));
-
-    checkExternalOptions(opts);
-    robust::RunFaultPlan plan = probeFaults(program, cfg);
-
-    cfg.validate();
-
-    std::shared_ptr<const vm::RecordedTrace> trace =
-        opts.externalTrace
-            ? vm::ExternalTrace::sharedTrace(opts.externalTrace)
-            : opts.trace;
-    stats::Group root(nullptr, "");
-    std::optional<vm::Executor> exec;
-    std::optional<vm::TraceReplay> replay;
-    vm::InstSource *src;
-    if (trace) {
-        if (&trace->program() != &program)
-            panic("RunOptions::trace was recorded from a different "
-                  "program");
-        src = &replay.emplace(*trace);
-    } else {
-        src = &exec.emplace(program);
-    }
-    cpu::Pipeline pipe(&root, cfg, *src);
-
-    if (cfg.classifier == config::ClassifierKind::StaticHybrid)
-        pipe.classifier().setStaticVerdicts(
-            opts.externalTrace
-                ? externalVerdictTable(*opts.externalTrace)
-                : staticVerdictTable(program));
-
-    if (!opts.blackboxPath.empty())
-        pipe.enableCommitLog(kBlackboxCommits);
-    if (opts.maxCycles != 0 || opts.maxWallSeconds > 0)
-        pipe.setGuards({opts.maxCycles, opts.maxWallSeconds});
-    if (plan.dropWakeupAt != 0)
-        pipe.armWakeupDrop(plan.dropWakeupAt);
-
-    std::optional<obs::Sampler> sampler;
-    const std::uint64_t limit = opts.maxInsts; // 0 = whole program
+    cpu::Pipeline &pipe = s.pipeline();
+    vm::InstSource &src = s.source();
+    const SamplingPlan &sp = s.options().sampling;
+    const std::uint64_t limit = fetchCap(s.options()); // 0 = whole program
     std::uint64_t ffSkipped = 0;
     std::uint64_t diSum = 0;
     std::uint64_t dcSum = 0;
-    std::vector<double> winIpc;
-    double wallSeconds = 0.0;
+    /** (committed insts, cycles) of each measured window. */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> windows;
 
     // Instructions consumed from the source so far: fetched in detail
     // plus functionally skipped.
@@ -611,85 +613,59 @@ runSampled(const prog::Program &program,
         return rngState;
     };
 
-    try {
-        if (opts.sampleInterval > 0) {
-            sampler.emplace(root, opts.sampleInterval,
-                            opts.sampleFilter);
-            pipe.setSampler(&*sampler);
+    s.attachObservers();
+    while (!src.halted() && (limit == 0 || consumed() < limit)) {
+        // Detailed (but unmeasured) warm-up: re-fill the ROB and
+        // queues so the window sees steady state, not a restart
+        // transient.
+        std::uint64_t w = sp.warmup;
+        if (limit)
+            w = std::min(w, limit - consumed());
+        if (w > 0)
+            pipe.runUntilFetched(pipe.fetchedCount() + w);
+        if (src.halted() || (limit && consumed() >= limit))
+            break;
+
+        // Measured window.
+        std::uint64_t d = sp.detail;
+        if (limit)
+            d = std::min(d, limit - consumed());
+        std::uint64_t c0 = pipe.numCycles.value();
+        std::uint64_t i0 = pipe.committedInsts.value();
+        pipe.runUntilFetched(pipe.fetchedCount() + d);
+        std::uint64_t dc = pipe.numCycles.value() - c0;
+        std::uint64_t di = pipe.committedInsts.value() - i0;
+        if (dc > 0 && di > 0) {
+            dcSum += dc;
+            diSum += di;
+            windows.emplace_back(di, dc);
         }
 
-        auto t0 = std::chrono::steady_clock::now();
-        while (!src->halted() && (limit == 0 || consumed() < limit)) {
-            // Detailed (but unmeasured) warm-up: re-fill the ROB and
-            // queues so the window sees steady state, not a restart
-            // transient.
-            std::uint64_t w = sp.warmup;
-            if (limit)
-                w = std::min(w, limit - consumed());
-            if (w > 0)
-                pipe.runUntilFetched(pipe.fetchedCount() + w);
-            if (src->halted() || (limit && consumed() >= limit))
-                break;
-
-            // Measured window.
-            std::uint64_t d = sp.detail;
-            if (limit)
-                d = std::min(d, limit - consumed());
-            std::uint64_t c0 = pipe.numCycles.value();
-            std::uint64_t i0 = pipe.committedInsts.value();
-            pipe.runUntilFetched(pipe.fetchedCount() + d);
-            std::uint64_t dc = pipe.numCycles.value() - c0;
-            std::uint64_t di = pipe.committedInsts.value() - i0;
-            if (dc > 0 && di > 0) {
-                dcSum += dc;
-                diSum += di;
-                winIpc.push_back(static_cast<double>(di) / dc);
-            }
-
-            // Drain the in-flight window (its cycles are not part of
-            // the measurement), then fast-forward the remainder of
-            // the period functionally.
-            pipe.run(pipe.fetchedCount());
-            std::uint64_t skip = sp.period - sp.warmup - sp.detail;
-            if (skip > 1)
-                skip = skip / 2 + nextRand() % skip;
-            if (limit && consumed() < limit)
-                skip = std::min(skip, limit - consumed());
-            else if (limit)
-                skip = 0;
-            // Functional warming: caches and the region predictor
-            // keep tracking the stream, so the next window's warm-up
-            // only has to refill the pipeline — not rebuild megabytes
-            // of cold tag state.
-            ffSkipped += pipe.fastForward(skip);
-        }
-        // Drain whatever the final partial window left in flight.
+        // Drain the in-flight window (its cycles are not part of
+        // the measurement), then fast-forward the remainder of
+        // the period functionally.
         pipe.run(pipe.fetchedCount());
-        wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-
-        if (sampler) {
-            sampler->finish(pipe.committedInsts.value(),
-                            pipe.numCycles.value());
-            pipe.setSampler(nullptr);
-            if (!opts.samplePath.empty())
-                sampler->dumpFile(opts.samplePath);
-        }
-    } catch (const SimError &e) {
-        pipe.setSampler(nullptr);
-        if (!opts.blackboxPath.empty())
-            emitBlackbox(opts, program, cfg, pipe, root, e);
-        throw;
+        std::uint64_t skip = sp.period - sp.warmup - sp.detail;
+        if (skip > 1)
+            skip = skip / 2 + nextRand() % skip;
+        if (limit && consumed() < limit)
+            skip = std::min(skip, limit - consumed());
+        else if (limit)
+            skip = 0;
+        // Functional warming: caches and the region predictor
+        // keep tracking the stream, so the next window's warm-up
+        // only has to refill the pipeline — not rebuild megabytes
+        // of cold tag state.
+        ffSkipped += pipe.fastForward(skip);
     }
+    // Drain whatever the final partial window left in flight.
+    pipe.run(pipe.fetchedCount());
+    s.finishObservers();
 
     const std::uint64_t totalInsts = consumed();
     double ipcEst = dcSum > 0
                         ? static_cast<double>(diSum) / dcSum
                         : pipe.ipc(); // program shorter than a window
-    SimResult r;
-    r.program = program.name();
-    r.notation = cfg.notation();
     r.committed = totalInsts;
     // Integer cycles first, then the IPC recomputed from them, so the
     // manifest invariant ipc == committed/cycles holds exactly.
@@ -706,30 +682,26 @@ runSampled(const prog::Program &program,
     r.sampling.period = sp.period;
     r.sampling.detail = sp.detail;
     r.sampling.warmup = sp.warmup;
-    r.sampling.windows = winIpc.size();
+    r.sampling.windows = windows.size();
     r.sampling.detailInsts = diSum;
     r.sampling.detailCycles = dcSum;
-    if (winIpc.size() > 1) {
-        double mean = 0.0;
-        for (double v : winIpc)
-            mean += v;
-        mean /= static_cast<double>(winIpc.size());
-        double var = 0.0;
-        for (double v : winIpc)
-            var += (v - mean) * (v - mean);
-        var /= static_cast<double>(winIpc.size() - 1);
-        r.sampling.ipcCi95 =
-            1.96 * std::sqrt(var /
-                             static_cast<double>(winIpc.size()));
+    if (windows.size() > 1) {
+        // The interval of the estimate reported above, not of the
+        // mean window IPC: SMARTS's per-window CPI (Wunderlich et al.,
+        // ISCA 2003), as a ratio estimator because windows commit
+        // slightly different counts. Its standard error comes from the
+        // residuals dc - CPI·di; the delta method maps it to IPC
+        // (×IPC²).
+        const double n = static_cast<double>(windows.size());
+        const double cpi = static_cast<double>(dcSum) / diSum;
+        double ss = 0.0;
+        for (auto [di, dc] : windows) {
+            double res = static_cast<double>(dc) - cpi * di;
+            ss += res * res;
+        }
+        double cpiHalf = 1.96 * std::sqrt(ss / (n - 1) / n) / (diSum / n);
+        r.sampling.ipcCi95 = cpiHalf * ipcEst * ipcEst;
     }
-
-    extractCounters(r, pipe);
-    if (opts.captureStats)
-        r.statsText = stats::toText(root);
-
-    attachManifest(r, program, cfg, opts, pipe, root, wallSeconds,
-                   static_cast<bool>(trace), "sampled");
-    return r;
 }
 
 } // namespace
@@ -738,9 +710,9 @@ SimResult
 run(const prog::Program &program, const config::MachineConfig &cfg,
     const RunOptions &opts)
 {
-    if (opts.engine == Engine::Sampled)
-        return runSampled(program, cfg, opts);
-    return runExact(program, cfg, opts);
+    RunSession s(program, cfg, opts);
+    return s.measure(opts.engine == Engine::Sampled ? runSampled
+                                                     : runExact);
 }
 
 std::vector<SimResult>
@@ -758,9 +730,7 @@ runBatch(const prog::Program &program,
     each.engine = Engine::Replay;
     if (!each.trace && !each.externalTrace && !cfgs.empty())
         each.trace = std::make_shared<const vm::RecordedTrace>(
-            vm::RecordedTrace::record(
-                program,
-                opts.maxInsts ? opts.maxInsts + opts.warmupInsts : 0));
+            vm::RecordedTrace::record(program, fetchCap(opts)));
     std::vector<SimResult> results;
     results.reserve(cfgs.size());
     for (const config::MachineConfig &cfg : cfgs)

@@ -189,6 +189,17 @@ struct RunOptions
 };
 
 /**
+ * How many instructions a run fetches: @p opts.maxInsts measured
+ * instructions past the warmup, or 0 (run to HALT) when maxInsts is 0.
+ * A trace recorded for the run stops at the same point.
+ */
+inline std::uint64_t
+fetchCap(const RunOptions &opts)
+{
+    return opts.maxInsts ? opts.maxInsts + opts.warmupInsts : 0;
+}
+
+/**
  * Simulate @p program on @p cfg to completion.
  *
  * Every failure raises a typed ddsim::SimError: ConfigError for a bad

@@ -45,13 +45,6 @@ classifyError(const std::exception_ptr &e)
     }
 }
 
-bool
-wantsSharedTrace(const RunOptions &opts)
-{
-    return !opts.trace && !opts.externalTrace &&
-           opts.engine != Engine::Live;
-}
-
 SweepRunner::SweepRunner(unsigned workers) : pool(workers) {}
 
 SweepRunner::~SweepRunner()
@@ -61,34 +54,42 @@ SweepRunner::~SweepRunner()
     pool.wait();
 }
 
-void
-SweepRunner::runJobWithRetry(SweepJob job, Slot *slot, TraceCache *tc,
-                             const RetryPolicy &policy)
+JobRun
+runJob(SweepJob job, TraceCache *traces, const RetryPolicy &policy)
 {
+    // A job replays the shared recording only if it brings no stream
+    // of its own (recording an external trace's reconstructed program
+    // would be wrong) and its engine replays: the live engine would
+    // ignore the trace, so fetching one would only execute the
+    // program an extra time.
+    const bool share = traces && !job.opts.trace &&
+                       !job.opts.externalTrace &&
+                       job.opts.engine != Engine::Live;
     // Bounded retry with exponential backoff. Only transiently
     // classified failures retry; simulation is deterministic, so
     // a deadlock or config error would just fail identically
     // again, while an I/O hiccup or allocation failure may pass.
+    JobRun jr;
     std::uint64_t backoff = policy.backoffMs;
     for (int attempt = 1;; ++attempt) {
-        slot->attempts = attempt;
+        jr.outcome.attempts = attempt;
         try {
-            if (tc) {
-                std::uint64_t cap =
-                    job.opts.maxInsts
-                        ? job.opts.maxInsts + job.opts.warmupInsts
-                        : 0;
-                job.opts.trace = tc->get(job.program, cap);
-            }
-            slot->result = run(*job.program, job.cfg, job.opts);
-            slot->error = nullptr;
-            return;
+            if (share)
+                job.opts.trace =
+                    traces->get(job.program, fetchCap(job.opts));
+            jr.result = run(*job.program, job.cfg, job.opts);
+            jr.outcome.status =
+                attempt > 1 ? JobStatus::Recovered : JobStatus::Ok;
+            return jr;
         } catch (...) {
-            slot->error = std::current_exception();
-            slot->lastError = classifyError(slot->error);
-            if (!slot->lastError.transient ||
-                attempt >= policy.maxAttempts)
-                return;
+            std::exception_ptr e = std::current_exception();
+            jr.outcome.error = classifyError(e);
+            if (!jr.outcome.error.transient ||
+                attempt >= policy.maxAttempts) {
+                jr.outcome.status = JobStatus::Quarantined;
+                jr.failure = e;
+                return jr;
+            }
         }
         if (backoff > 0)
             std::this_thread::sleep_for(
@@ -106,15 +107,14 @@ SweepRunner::submit(SweepJob job)
     slots.emplace_back();
     // deque never relocates elements, so this pointer stays valid
     // while submit() grows the grid under the workers.
-    Slot *slot = &slots.back();
+    JobRun *slot = &slots.back();
     // Trace resolution runs on the worker, not here: the first job to
     // reach a program records its trace while workers on other
     // programs keep simulating.
-    TraceCache *tc =
-        shareTraces && wantsSharedTrace(job.opts) ? &traces : nullptr;
+    TraceCache *tc = shareTraces ? &traces : nullptr;
     RetryPolicy policy = retryPolicy;
     pool.submit([slot, tc, policy, job = std::move(job)]() mutable {
-        runJobWithRetry(std::move(job), slot, tc, policy);
+        *slot = runJob(std::move(job), tc, policy);
     });
     return index;
 }
@@ -134,15 +134,30 @@ SweepRunner::collect()
     std::vector<SimResult> results;
     results.reserve(slots.size());
     std::exception_ptr firstError;
-    for (Slot &slot : slots) {
-        if (slot.error && !firstError)
-            firstError = slot.error;
+    for (JobRun &slot : slots) {
+        if (slot.failure && !firstError)
+            firstError = slot.failure;
         results.push_back(std::move(slot.result));
     }
     slots.clear();
     if (firstError)
         std::rethrow_exception(firstError);
     return results;
+}
+
+void
+SweepOutcome::add(JobOutcome job, SimResult result)
+{
+    if (job.status == JobStatus::Quarantined) {
+        ++numQuarantined;
+        degraded = true;
+        result = SimResult{};
+        result.quarantined = true;
+    } else if (job.status == JobStatus::Recovered) {
+        ++numRecovered;
+    }
+    results.push_back(std::move(result));
+    jobs.push_back(std::move(job));
 }
 
 SweepOutcome
@@ -152,27 +167,8 @@ SweepRunner::collectOutcome()
     SweepOutcome out;
     out.results.reserve(slots.size());
     out.jobs.reserve(slots.size());
-    for (Slot &slot : slots) {
-        JobOutcome jo;
-        jo.attempts = slot.attempts;
-        jo.error = slot.lastError;
-        if (slot.error) {
-            jo.status = JobStatus::Quarantined;
-            ++out.numQuarantined;
-            out.degraded = true;
-            // Placeholder keeps indices; the flag keeps it from being
-            // mistaken for a legitimate zero-stat result downstream.
-            out.results.emplace_back();
-            out.results.back().quarantined = true;
-        } else {
-            jo.status = slot.attempts > 1 ? JobStatus::Recovered
-                                          : JobStatus::Ok;
-            if (jo.status == JobStatus::Recovered)
-                ++out.numRecovered;
-            out.results.push_back(std::move(slot.result));
-        }
-        out.jobs.push_back(std::move(jo));
-    }
+    for (JobRun &slot : slots)
+        out.add(std::move(slot.outcome), std::move(slot.result));
     slots.clear();
     return out;
 }

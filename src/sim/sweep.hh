@@ -13,6 +13,13 @@
  * the SimResult is a pure function of its inputs. Worker count and
  * completion order affect only wall-clock time, never the results or
  * their order. See docs/SWEEPS.md.
+ *
+ * Every job runs through runJob, the one retry/quarantine loop:
+ * SweepRunner's worker threads call it in-process, and the sweep
+ * farm's worker processes (sim/farm.hh) call it for each claimed
+ * point. SweepOutcome::add is the one place a job's disposition
+ * becomes sweep counts, for collectOutcome() and the farm's merge
+ * alike. See docs/ROBUSTNESS.md, "Sweep failure isolation".
  */
 
 #ifndef DDSIM_SIM_SWEEP_HH_
@@ -41,10 +48,11 @@
 namespace ddsim::sim {
 
 /**
- * How SweepRunner retries transiently-failed jobs. Simulation is
- * deterministic, so a retried job that eventually succeeds returns
- * exactly the SimResult a first-try success would have — retry count
- * affects wall-clock only, never results.
+ * How runJob retries transiently-failed jobs, on SweepRunner threads
+ * and farm workers alike. Simulation is deterministic, so a retried
+ * job that eventually succeeds returns exactly the SimResult a
+ * first-try success would have — retry count affects wall-clock only,
+ * never results.
  */
 struct RetryPolicy
 {
@@ -104,6 +112,14 @@ struct SweepOutcome
     std::size_t numRecovered = 0;
 
     bool ok() const { return !degraded; }
+
+    /**
+     * Append the next job. A quarantined job's slot holds a
+     * placeholder flagged SimResult::quarantined (so it is never
+     * mistaken for a legitimate zero-stat result) and degrades the
+     * sweep; @p result is ignored for it.
+     */
+    void add(JobOutcome job, SimResult result);
 };
 
 /** One (program, machine, options) point of a sweep grid. */
@@ -125,16 +141,6 @@ struct SweepJob
      */
     std::string annotate{};
 };
-
-/**
- * Does a job run with @p opts replay a shared TraceCache recording?
- * Only if it brings no stream of its own (RunOptions::trace or
- * externalTrace — recording an external trace's reconstructed
- * program would be wrong) and its engine replays: the live engine
- * would ignore the trace, so fetching one would only execute the
- * program an extra time.
- */
-bool wantsSharedTrace(const RunOptions &opts);
 
 /**
  * Memoizes dynamic-trace recording so each (program, instruction cap)
@@ -201,6 +207,28 @@ class TraceCache
     std::size_t numRecorded = 0;
 };
 
+/** What runJob reports for one job. */
+struct JobRun
+{
+    JobOutcome outcome;
+    SimResult result;             ///< Meaningful unless quarantined.
+    std::exception_ptr failure;   ///< Set only when quarantined.
+};
+
+/**
+ * Run one job under @p policy — the one retry/quarantine loop behind
+ * SweepRunner's threads and the farm's workers (docs/ROBUSTNESS.md,
+ * "Sweep failure isolation"). Each attempt first fetches the job's
+ * shared recording from @p traces when the job replays one and brings
+ * no stream of its own (null = never share), then calls sim::run.
+ * A failure is classified (classifyError): a transient one backs off
+ * and retries while attempts remain; anything else quarantines the
+ * job. Never throws — pool tasks must not — so the caller decides what
+ * a captured failure means.
+ */
+JobRun runJob(SweepJob job, TraceCache *traces,
+              const RetryPolicy &policy);
+
 /**
  * Runs sweep jobs on a worker pool; results come back in submission
  * order regardless of completion order.
@@ -264,7 +292,7 @@ class SweepRunner
 
     /**
      * Share one recorded dynamic trace per (program, fetch-cap) across
-     * all jobs that replay one (see wantsSharedTrace; on by default).
+     * all jobs that replay one (see runJob; on by default).
      * The first worker to touch a program records it; the rest
      * replay. Results are bit-identical either way (see the
      * differential suite); only wall-clock changes.
@@ -282,21 +310,8 @@ class SweepRunner
     }
 
   private:
-    struct Slot
-    {
-        SimResult result;
-        std::exception_ptr error; ///< Set only if the job finally failed.
-        int attempts = 1;
-        ErrorClass lastError;     ///< Last failure, kept across recovery.
-    };
-
-    /** The per-job retry loop. Runs on a worker thread. */
-    static void runJobWithRetry(SweepJob job, Slot *slot,
-                                TraceCache *tc,
-                                const RetryPolicy &policy);
-
     ThreadPool pool;
-    std::deque<Slot> slots; ///< deque: stable addresses across submit()
+    std::deque<JobRun> slots; ///< deque: stable addresses across submit()
     TraceCache traces;
     bool shareTraces = true;
     RetryPolicy retryPolicy;

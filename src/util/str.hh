@@ -7,6 +7,7 @@
 #ifndef DDSIM_UTIL_STR_HH_
 #define DDSIM_UTIL_STR_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -28,6 +29,9 @@ bool startsWith(std::string_view s, std::string_view prefix);
 
 /** ASCII lower-case copy. */
 std::string toLower(std::string_view s);
+
+/** Levenshtein distance, for did-you-mean suggestions. */
+std::size_t editDistance(std::string_view a, std::string_view b);
 
 /**
  * Parse a signed integer with optional 0x prefix and +/- sign.

@@ -28,6 +28,7 @@
 #include "stats/group.hh"
 #include "util/atomic_file.hh"
 #include "util/log.hh"
+#include "vm/xtrace.hh"
 #include "workloads/common.hh"
 
 using namespace ddsim;
@@ -315,6 +316,48 @@ TEST(Blackbox, WrittenOnBudgetExceeded)
     std::remove(path.c_str());
 }
 
+TEST(Blackbox, RecordsTheStreamTheRunUsed)
+{
+    // Neither replaying run is handed RunOptions::trace: the replay
+    // engine records its own, and an external trace is its own
+    // stream. The crash report must say that they replayed, as the
+    // manifest of a finished run would.
+    QuietGuard q;
+    auto li = programShared("li");
+    auto xt = vm::ExternalTrace::fromProgram(li, 0, "workload", true);
+    auto expectTraceReplay = [](const prog::Program &prog,
+                                sim::RunOptions opts, const char *leaf,
+                                bool replayed) {
+        std::string path = tempPath(leaf);
+        opts.maxCycles = 500;
+        opts.blackboxPath = path;
+        EXPECT_THROW(sim::run(prog, config::decoupled(3, 2), opts),
+                     BudgetExceededError)
+            << leaf;
+        ASSERT_TRUE(fileExists(path)) << leaf;
+        EXPECT_NE(slurp(path).find(replayed ? "\"trace_replay\": true"
+                                            : "\"trace_replay\": false"),
+                  std::string::npos)
+            << leaf;
+        std::remove(path.c_str());
+    };
+
+    sim::RunOptions replay;
+    replay.engine = sim::Engine::Replay;
+    expectTraceReplay(*li, replay, "replay.blackbox.json", true);
+
+    sim::RunOptions external;
+    external.externalTrace = xt;
+    expectTraceReplay(xt->program(), external, "external.blackbox.json",
+                      true);
+
+    // The live engine ignores a supplied recording, and says so.
+    sim::RunOptions live;
+    live.engine = sim::Engine::Live;
+    live.trace = vm::ExternalTrace::sharedTrace(xt);
+    expectTraceReplay(xt->program(), live, "live.blackbox.json", false);
+}
+
 // ---------------------------------------------------------------------
 // Deadlock watchdog
 // ---------------------------------------------------------------------
@@ -483,6 +526,35 @@ TEST(TraceCorruption, BitFlipsNeverEscapeTheTaxonomy)
     EXPECT_GT(decoded, 0u);  // ...and benign flips still decode
     std::remove(path.c_str());
     std::remove(good.c_str());
+}
+
+TEST(TraceCorruption, TenByteVarintOverflowIsDetected)
+{
+    // A hand-built one-record trace whose seq delta is nine 0xff bytes
+    // then 0x7f: ten bytes that carry 70 bits. Only bit 0 of the last
+    // byte fits in 64 bits; the rest must be an error, not a silently
+    // truncated seq of UINT64_MAX.
+    std::string bytes(obs::kTraceMagic, sizeof(obs::kTraceMagic));
+    bytes += std::string("\x01\x00\x00\x00", 4); // version 1
+    bytes += std::string(6, '\0');                // three empty strings
+    bytes += std::string("\x01\x00\x00\x00\x00\x00\x00\x00", 8); // count
+    bytes += std::string(9, '\xff') + '\x7f';     // seq delta
+    bytes += std::string(9, '\0'); // pc, flags, commit, six offsets
+    std::string path = tempPath("varint_overflow.trace");
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW(readAllTrace(path), TraceCorruptError);
+
+    // The same record with the largest legal last byte decodes.
+    bytes[bytes.size() - 10] = '\x01';
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_EQ(readAllTrace(path), 1u);
+    std::remove(path.c_str());
 }
 
 TEST(TraceCorruption, InjectedCorruptionCaughtByVerify)

@@ -137,6 +137,17 @@ TEST(Str, ParseSizeHandlesSuffixes)
     EXPECT_FALSE(parseSize("x", v));
 }
 
+TEST(Str, EditDistanceCountsInsertsDeletesAndSubstitutions)
+{
+    EXPECT_EQ(editDistance("", ""), 0u);
+    EXPECT_EQ(editDistance("", "live"), 4u);
+    EXPECT_EQ(editDistance("replay", ""), 6u);
+    EXPECT_EQ(editDistance("kitten", "sitting"), 3u);
+    EXPECT_EQ(editDistance("sampeld", "sampled"), 2u);
+    EXPECT_EQ(editDistance("lve", "live"), 1u);
+    EXPECT_EQ(editDistance("workers", "worker"), 1u);
+}
+
 TEST(Layout, StackRegionDetection)
 {
     EXPECT_TRUE(layout::isStackAddr(layout::StackBase));
