@@ -25,18 +25,6 @@ PortScheduler::PortScheduler(int ports, int degree,
         bankBusy.assign(static_cast<std::size_t>(banks), false);
 }
 
-void
-PortScheduler::newCycle(Cycle now)
-{
-    if (now == curCycle)
-        return;
-    curCycle = now;
-    portsUsed = 0;
-    groups.clear();
-    if (banks > 0)
-        bankBusy.assign(static_cast<std::size_t>(banks), false);
-}
-
 PortScheduler::Grant
 PortScheduler::request(Addr addr, AccessKind kind, int queuePos)
 {

@@ -46,7 +46,17 @@ class PortScheduler
                   int banks = 0);
 
     /** Start a new cycle; all ports and groups are released. */
-    void newCycle(Cycle now);
+    void
+    newCycle(Cycle now)
+    {
+        if (now == curCycle)
+            return;
+        curCycle = now;
+        portsUsed = 0;
+        groups.clear();
+        if (banks > 0)
+            bankBusy.assign(static_cast<std::size_t>(banks), false);
+    }
 
     /** Result of a port request. */
     struct Grant

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/age_bits.hh"
 #include "core/fast_forward.hh"
 #include "util/log.hh"
 
@@ -41,12 +42,13 @@ MemQueue::MemQueue(stats::Group *parent, const std::string &name,
       altCache(altCache),
       policy(policy),
       entries(static_cast<std::size_t>(size)),
+      servedInfo(static_cast<std::size_t>(size)),
       scheduler(policy.ports, policy.combining,
                 cache->params().lineBytes, policy.banks)
 {
     if (size < 1)
         panic("memory queue needs at least one entry");
-    pendingLoads.reserve(static_cast<std::size_t>(size));
+    actBits.assign((static_cast<std::size_t>(size) + 63) / 64, 0);
     ffScratch.reserve(static_cast<std::size_t>(size));
 }
 
@@ -138,8 +140,9 @@ MemQueue::allocate(InstSeq seq, int robIdx, bool isLoad,
     ++count;
     ++allocated;
 
+    // Targeted reset: the cycle, address and match fields are read
+    // only behind the flags cleared here.
     QueueEntry &e = entries[static_cast<std::size_t>(slot)];
-    e = QueueEntry{};
     e.valid = true;
     e.seq = seq;
     e.robIdx = robIdx;
@@ -149,6 +152,16 @@ MemQueue::allocate(InstSeq seq, int robIdx, bool isLoad,
     e.baseReg = baseReg;
     e.offset = offset;
     e.baseVersion = baseVersion;
+    e.addrKnown = false;
+    e.dataReady = false;
+    e.issued = false;
+    e.completed = false;
+    e.committed = false;
+    e.missteered = false;
+    e.cancelled = false;
+    e.fastFwdSlot = -1;
+    e.olderStoreEpoch = 0;
+    servedInfo[static_cast<std::size_t>(slot)] = ServedInfo{};
 
     if (isLoad) {
         ++loadsTotal;
@@ -165,9 +178,9 @@ MemQueue::allocate(InstSeq seq, int robIdx, bool isLoad,
                 e.fastFwdSlot = match;
                 e.fastFwdSeq =
                     entries[static_cast<std::size_t>(match)].seq;
+                setAct(slot);
             }
         }
-        pendingLoads.emplace_back(slot, seq);
     } else {
         ++storesTotal;
         noAddrStores.emplace_back(slot, seq);
@@ -182,8 +195,11 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
     QueueEntry &e = entries[static_cast<std::size_t>(slot)];
     if (!e.valid)
         panic("setAddress on an invalid queue slot");
-    if (e.isStore && e.addrKnown)
+    if (e.isStore && e.addrKnown) {
         unindexStore(e, slot); // Re-addressing: replace the old entry.
+        bumpStoreEpoch();
+    }
+    e.olderStoreEpoch = 0; // A load's own address keys its search.
     e.addr = addr;
     e.addrKnown = true;
     e.addrKnownAt = when;
@@ -193,6 +209,8 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
     }
     if (e.isStore && !e.cancelled)
         indexStore(e, slot);
+    if (e.isLoad && !e.cancelled && !e.issued && !e.completed)
+        setAct(slot);
     extEvent = std::min(extEvent, when);
 }
 
@@ -217,13 +235,16 @@ MemQueue::cancel(int slot)
         return;
     e.cancelled = true;
     ++cancelledReplicas;
-    if (e.isStore)
+    clearAct(slot);
+    if (e.isStore && e.addrKnown) {
         unindexStore(e, slot);
+        bumpStoreEpoch();
+    }
     extEvent = 0; // Barrier and fast-forward waiters re-evaluate.
 }
 
 bool
-MemQueue::tryCacheAccess(QueueEntry &e, int pos, Cycle now)
+MemQueue::tryCacheAccess(QueueEntry &e, int slot, int pos, Cycle now)
 {
     auto grant = scheduler.request(e.addr, AccessKind::Load, pos);
     if (!grant.granted) {
@@ -248,9 +269,8 @@ MemQueue::tryCacheAccess(QueueEntry &e, int pos, Cycle now)
     e.issued = true;
     e.completed = true;
     e.completeAt = done;
-    e.servedKind = QueueEntry::kServedCache;
-    e.servedAt = now;
-    e.combinedGrant = grant.combined;
+    servedInfo[static_cast<std::size_t>(slot)] = {
+        ServedInfo::kCache, grant.combined, now};
     return true;
 }
 
@@ -273,8 +293,8 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
                 e.issued = true;
                 e.completed = true;
                 e.completeAt = now + policy.forwardLatency;
-                e.servedKind = QueueEntry::kServedFastForward;
-                e.servedAt = now;
+                servedInfo[static_cast<std::size_t>(slot)] = {
+                    ServedInfo::kFastForward, false, now};
                 ++loadsFastForwarded;
                 completions.push_back({slot, e.robIdx, e.completeAt});
                 return true;
@@ -307,13 +327,21 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
     }
 
     // All older store addresses are known: the youngest overlapping
-    // store decides (committed -> read the cache; covering -> forward
-    // in-queue; partial overlap -> wait for its commit).
+    // store decides (committed or gone -> read the cache; covering ->
+    // forward in-queue; partial overlap -> wait for its commit). The
+    // answer holds until a store is cancelled or re-addressed.
     int pos = positionOf(slot);
-    int storeSlot = youngestOlderStore(e);
-    if (storeSlot >= 0) {
-        QueueEntry &st = entries[static_cast<std::size_t>(storeSlot)];
-        if (!st.committed) {
+    if (e.olderStoreEpoch != storeEpoch) {
+        e.olderStoreSlot = youngestOlderStore(e);
+        if (e.olderStoreSlot >= 0)
+            e.olderStoreSeq =
+                entries[static_cast<std::size_t>(e.olderStoreSlot)].seq;
+        e.olderStoreEpoch = storeEpoch;
+    }
+    if (e.olderStoreSlot >= 0) {
+        QueueEntry &st =
+            entries[static_cast<std::size_t>(e.olderStoreSlot)];
+        if (st.valid && st.seq == e.olderStoreSeq && !st.committed) {
             if (!e.coveredBy(st))
                 return false; // Partial overlap: wait for the commit.
             if (!(st.dataReady && st.dataReadyAt <= now)) {
@@ -337,9 +365,8 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
             e.issued = true;
             e.completed = true;
             e.completeAt = now + policy.forwardLatency;
-            e.servedKind = QueueEntry::kServedForward;
-            e.servedAt = now;
-            e.combinedGrant = grant.combined;
+            servedInfo[static_cast<std::size_t>(slot)] = {
+                ServedInfo::kForward, grant.combined, now};
             if (grant.combined)
                 ++combinedAccesses;
             else
@@ -353,7 +380,7 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
     }
 
     // Cache access, subject to port availability.
-    if (tryCacheAccess(e, pos, now)) {
+    if (tryCacheAccess(e, slot, pos, now)) {
         completions.push_back({slot, e.robIdx, e.completeAt});
         return true;
     }
@@ -395,23 +422,17 @@ MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
             barrierEvent = st.addrKnownAt;
     }
 
-    // Visit the pending loads oldest-first (preserving the port
-    // request order of the original walk), compacting out the ones
-    // that issued, completed, cancelled or left the queue.
+    // Visit the loads that can act oldest-first, preserving the port
+    // request order of the original walk over every resident load.
     TickInfo info;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pendingLoads.size(); ++i) {
-        auto [slot, seq] = pendingLoads[i];
+    forEachAgeOrdered(actBits, head, count, capacity, [&](int slot) {
         QueueEntry &e = entries[static_cast<std::size_t>(slot)];
-        if (!e.valid || e.seq != seq || e.cancelled || e.issued ||
-            e.completed)
-            continue;
         if (processLoad(e, slot, now, barrierSeq, barrierEvent,
-                        completions, info))
-            continue;
-        pendingLoads[keep++] = pendingLoads[i];
-    }
-    pendingLoads.resize(keep);
+                        completions, info) ||
+            (!e.addrKnown && e.fastFwdSlot < 0))
+            clearAct(slot);
+        return true;
+    });
     if (infoOut)
         *infoOut = info;
 }
@@ -460,9 +481,8 @@ MemQueue::commitStore(int slot, Cycle now)
         scheduler.setGroupCompletion(grant.groupId, done);
     }
     e.committed = true;
-    e.servedKind = QueueEntry::kServedCache;
-    e.servedAt = now;
-    e.combinedGrant = grant.combined;
+    servedInfo[static_cast<std::size_t>(slot)] = {ServedInfo::kCache,
+                                                  grant.combined, now};
     extEvent = std::min(extEvent, now + 1); // Unblocks partial waits.
     return true;
 }
@@ -483,6 +503,7 @@ MemQueue::release(int slot)
         if (!storesByAge.empty() && storesByAge.front().first == slot)
             storesByAge.pop_front();
     }
+    clearAct(slot);
     e.valid = false;
     head = (head + 1) % capacity;
     --count;

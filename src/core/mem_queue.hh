@@ -17,9 +17,10 @@
  * generation) and access combining in the port scheduler.
  *
  * The implementation is indexed rather than scanned: tick() visits
- * only the resident loads (never stores or empty slots), the
- * conservative disambiguation barrier is the head of an age-ordered
- * deque of stores with still-unknown addresses, and the
+ * only the loads that can act (an address has arrived, or a
+ * fast-forward match is pending), oldest first through an age-ordered
+ * bitmap; the conservative disambiguation barrier is the head of an
+ * age-ordered deque of stores with still-unknown addresses, and the
  * youngest-older-store search runs against a per-8-byte-chunk store
  * index instead of re-walking all older entries per load per cycle.
  * The timing model is bit-identical to the original full scan.
@@ -170,6 +171,12 @@ class MemQueue : public stats::Group
         return entries[static_cast<std::size_t>(slot)];
     }
 
+    /** How @p slot's access was served (observability only). */
+    const ServedInfo &served(int slot) const
+    {
+        return servedInfo[static_cast<std::size_t>(slot)];
+    }
+
     /** Fraction of loads satisfied in-queue (paper: 50-90% for LVAQ). */
     double queueSatisfiedFrac() const;
 
@@ -197,6 +204,7 @@ class MemQueue : public stats::Group
     mem::Cache *altCache;
     QueuePolicy policy;
     std::vector<QueueEntry> entries;
+    std::vector<ServedInfo> servedInfo; ///< Parallel to entries.
     int head = 0;
     int tail = 0;
     int count = 0;
@@ -205,11 +213,14 @@ class MemQueue : public stats::Group
 
     // ---- Indexes (derived state; the entries array stays the truth).
     /**
-     * Resident loads in age order, identified by (slot, seq); entries
-     * whose load issued, completed, cancelled or released are dropped
-     * lazily during the tick walk.
+     * Per-slot "visit me in the tick" bits, walked in age order from
+     * the queue head: a resident load's bit is set once its address
+     * arrives or at allocation with a fast-forward match, and cleared
+     * when it issues, completes, is cancelled or released, or loses
+     * its match with no address. A load without its bit would do
+     * nothing in the tick.
      */
-    std::vector<std::pair<int, InstSeq>> pendingLoads;
+    std::vector<std::uint64_t> actBits;
     /**
      * Resident stores whose address was unknown as of the last tick,
      * in age order. The front (after popping resolved/cancelled/stale
@@ -228,6 +239,12 @@ class MemQueue : public stats::Group
      * Maintained eagerly by setAddress/cancel/release.
      */
     std::unordered_map<Addr, std::vector<int>> chunkStores;
+    /**
+     * Moves whenever an indexed store is cancelled or re-addressed:
+     * the only events that change an already-searched load's youngest
+     * older store (QueueEntry::olderStoreSlot). Never 0.
+     */
+    std::uint32_t storeEpoch = 1;
     /** Scratch for the fast-forward candidate list (no per-call alloc). */
     std::vector<int> ffScratch;
 
@@ -236,10 +253,30 @@ class MemQueue : public stats::Group
 
     int positionOf(int slot) const;
 
+    void
+    setAct(int slot)
+    {
+        actBits[static_cast<std::size_t>(slot) >> 6] |=
+            std::uint64_t{1} << (slot & 63);
+    }
+    void
+    clearAct(int slot)
+    {
+        actBits[static_cast<std::size_t>(slot) >> 6] &=
+            ~(std::uint64_t{1} << (slot & 63));
+    }
+
     /** Enter @p slot (a known-address store) into chunkStores. */
     void indexStore(const QueueEntry &e, int slot);
     /** Remove @p slot from chunkStores if present. */
     void unindexStore(const QueueEntry &e, int slot);
+    /** Invalidate every load's youngest-older-store answer. */
+    void
+    bumpStoreEpoch()
+    {
+        if (++storeEpoch == 0)
+            storeEpoch = 1;
+    }
     /**
      * Youngest store older than @p load overlapping its bytes, or -1.
      * Pre-condition (guaranteed by the disambiguation barrier): every
@@ -249,7 +286,7 @@ class MemQueue : public stats::Group
 
     /**
      * One load's per-cycle processing (the body of the original full
-     * scan). @return true when the load left the pending set.
+     * scan). @return true when the load issued or completed.
      */
     bool processLoad(QueueEntry &e, int slot, Cycle now,
                      InstSeq barrierSeq, Cycle barrierEvent,
@@ -257,7 +294,7 @@ class MemQueue : public stats::Group
                      TickInfo &info);
 
     /** Issue one load to the cache via the port scheduler. */
-    bool tryCacheAccess(QueueEntry &e, int pos, Cycle now);
+    bool tryCacheAccess(QueueEntry &e, int slot, int pos, Cycle now);
 };
 
 } // namespace ddsim::core

@@ -14,56 +14,16 @@ FuPool::FuPool(const config::MachineConfig &cfg)
     busyUntil[3].assign(static_cast<std::size_t>(cfg.numFpMultDiv), 0);
 }
 
-int
-FuPool::poolIndex(FuClass fc)
+void
+FuPool::noPool(FuClass fc)
 {
-    switch (fc) {
-      case FuClass::IntAlu:
-        return 0;
-      case FuClass::IntMult:
-      case FuClass::IntDiv:
-        return 1;
-      case FuClass::FpAlu:
-        return 2;
-      case FuClass::FpMult:
-      case FuClass::FpDiv:
-        return 3;
-      case FuClass::MemPort:
-      case FuClass::NumClasses:
-        break;
-    }
     panic("no functional unit pool for class %d", static_cast<int>(fc));
-}
-
-bool
-FuPool::tryIssue(FuClass fc, Cycle now, int latency, bool pipelined)
-{
-    std::size_t pi = static_cast<std::size_t>(poolIndex(fc));
-    auto &pool = busyUntil[pi];
-    std::size_t n = pool.size();
-    std::size_t start = rotor[pi];
-    for (std::size_t k = 0; k < n; ++k) {
-        std::size_t u = start + k;
-        if (u >= n)
-            u -= n;
-        Cycle &busy = pool[u];
-        if (busy <= now) {
-            // A pipelined unit accepts a new operation next cycle; an
-            // unpipelined one (the divides) is held for the duration.
-            busy = pipelined ? now + 1
-                             : now + static_cast<Cycle>(latency);
-            rotor[pi] = u + 1 < n ? u + 1 : 0;
-            return true;
-        }
-    }
-    return false;
 }
 
 int
 FuPool::poolSize(FuClass fc) const
 {
-    return static_cast<int>(
-        busyUntil[static_cast<std::size_t>(poolIndex(fc))].size());
+    return static_cast<int>(busyUntil[poolIndex(fc)].size());
 }
 
 } // namespace ddsim::cpu

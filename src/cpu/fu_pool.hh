@@ -28,8 +28,30 @@ class FuPool
      * Try to start an operation of class @p fc at cycle @p now.
      * @return true and reserves a unit on success.
      */
-    bool tryIssue(isa::FuClass fc, Cycle now, int latency,
-                  bool pipelined);
+    bool
+    tryIssue(isa::FuClass fc, Cycle now, int latency, bool pipelined)
+    {
+        std::size_t pi = poolIndex(fc);
+        auto &pool = busyUntil[pi];
+        std::size_t n = pool.size();
+        std::size_t start = rotor[pi];
+        for (std::size_t k = 0; k < n; ++k) {
+            std::size_t u = start + k;
+            if (u >= n)
+                u -= n;
+            Cycle &busy = pool[u];
+            if (busy <= now) {
+                // A pipelined unit accepts a new operation next cycle;
+                // an unpipelined one (the divides) is held for the
+                // duration.
+                busy = pipelined ? now + 1
+                                 : now + static_cast<Cycle>(latency);
+                rotor[pi] = u + 1 < n ? u + 1 : 0;
+                return true;
+            }
+        }
+        return false;
+    }
 
     /** Units in the pool serving class @p fc. */
     int poolSize(isa::FuClass fc) const;
@@ -47,7 +69,27 @@ class FuPool
      */
     std::array<std::size_t, NumPools> rotor{};
 
-    static int poolIndex(isa::FuClass fc);
+    static std::size_t
+    poolIndex(isa::FuClass fc)
+    {
+        switch (fc) {
+          case isa::FuClass::IntAlu:
+            return 0;
+          case isa::FuClass::IntMult:
+          case isa::FuClass::IntDiv:
+            return 1;
+          case isa::FuClass::FpAlu:
+            return 2;
+          case isa::FuClass::FpMult:
+          case isa::FuClass::FpDiv:
+            return 3;
+          case isa::FuClass::MemPort:
+          case isa::FuClass::NumClasses:
+            break;
+        }
+        noPool(fc);
+    }
+    [[noreturn]] static void noPool(isa::FuClass fc);
 };
 
 } // namespace ddsim::cpu

@@ -1,9 +1,9 @@
 #include "cpu/pipeline.hh"
 
 #include <algorithm>
-#include <bit>
 #include <ostream>
 
+#include "core/age_bits.hh"
 #include "isa/disasm.hh"
 #include "obs/pipeline_trace.hh"
 #include "obs/sampler.hh"
@@ -71,7 +71,8 @@ Pipeline::Pipeline(stats::Group *parent,
     }
 
     fetchQueueCap = static_cast<std::size_t>(cfg.fetchWidth) * 2;
-    fetchQueue.init(fetchQueueCap);
+    fetchQueue.init(static_cast<std::size_t>(cfg.robSize) + fetchQueueCap,
+                    static_cast<std::size_t>(cfg.fetchWidth));
     issuableBits.assign(
         (static_cast<std::size_t>(cfg.robSize) + 63) / 64, 0);
     completions.reserve(static_cast<std::size_t>(cfg.lsqSize) +
@@ -95,7 +96,7 @@ Pipeline::srcReady(const ProducerTag &tag) const
     if (!tag.valid())
         return true; // Value lives in the register file.
     const RobEntry &p = rob[tag.robIdx];
-    if (!p.valid || p.di.seq != tag.seq)
+    if (!p.valid || p.seq != tag.seq)
         return true; // Producer already committed.
     return p.completed && p.readyAt <= curCycle;
 }
@@ -106,7 +107,7 @@ Pipeline::srcReadyAt(const ProducerTag &tag, Cycle fallback) const
     if (!tag.valid())
         return fallback;
     const RobEntry &p = rob[tag.robIdx];
-    if (!p.valid || p.di.seq != tag.seq)
+    if (!p.valid || p.seq != tag.seq)
         return fallback;
     return p.readyAt;
 }
@@ -122,12 +123,12 @@ Pipeline::commitStage()
         RobEntry &e = rob[idx];
 
         if (e.isMem()) {
-            core::MemQueue &q = e.replicated && e.di.stackAccess
+            core::MemQueue &q = e.replicated && e.stackAccess
                                     ? *lvaqQueue
                                     : queueOf(e.queueKind);
-            int slot = e.replicated && e.di.stackAccess ? e.lvaqSlot
-                                                        : e.queueSlot;
-            if (decoded(e.di).info->store) {
+            int slot = e.replicated && e.stackAccess ? e.lvaqSlot
+                                                     : e.queueSlot;
+            if (e.info->store) {
                 const core::QueueEntry &qe = q.entry(slot);
                 bool ready = qe.addrKnown && qe.addrKnownAt <= curCycle &&
                              qe.dataReady && qe.dataReadyAt <= curCycle;
@@ -159,17 +160,17 @@ Pipeline::commitStage()
                 recordCommit(e, idx);
         }
 
-        const isa::RegRef d = decoded(e.di).dest;
-        if (d.valid())
-            renameTable.clearIfProducer(d, ProducerTag{idx, e.di.seq});
+        if (e.dest.valid())
+            renameTable.clearIfProducer(e.dest, ProducerTag{idx, e.seq});
 
         if (traceOut)
             traceCommit(e);
         if (!commitRing.empty()) {
+            const vm::DynInst &di = instOf(e);
             CommittedRecord &r = commitRing[commitRingHead];
-            r.seq = e.di.seq;
-            r.pcIdx = e.di.pcIdx;
-            r.inst = e.di.inst;
+            r.seq = e.seq;
+            r.pcIdx = di.pcIdx;
+            r.inst = di.inst;
             r.cycle = curCycle;
             commitRingHead = (commitRingHead + 1) % commitRing.size();
             commitRingCount =
@@ -189,12 +190,12 @@ void
 Pipeline::recordCommit(const RobEntry &e, int idx)
 {
     obs::TraceRecord r;
-    r.seq = e.di.seq;
-    r.pcIdx = e.di.pcIdx;
+    r.seq = e.seq;
+    r.pcIdx = instOf(e).pcIdx;
     r.dispatchCycle = e.dispatchedAt;
     r.commitCycle = curCycle;
     if (e.isMem()) {
-        const isa::OpInfo &info = *decoded(e.di).info;
+        const isa::OpInfo &info = *e.info;
         r.isLoad = info.load;
         r.isStore = info.store;
         r.replicated = e.replicated;
@@ -210,7 +211,7 @@ Pipeline::recordCommit(const RobEntry &e, int idx)
         int slot;
         if (e.replicated) {
             if (info.store) {
-                useLvaq = e.di.stackAccess;
+                useLvaq = e.stackAccess;
             } else {
                 const core::QueueEntry &lq =
                     lvaqQueue->entry(e.lvaqSlot);
@@ -221,17 +222,15 @@ Pipeline::recordCommit(const RobEntry &e, int idx)
             useLvaq = e.queueKind == QueueKind::Lvaq;
             slot = e.queueSlot;
         }
-        const core::QueueEntry &qe =
-            (useLvaq ? *lvaqQueue : *lsqQueue).entry(slot);
+        const core::MemQueue &q = useLvaq ? *lvaqQueue : *lsqQueue;
+        const core::ServedInfo &sv = q.served(slot);
         r.lvaqStream = useLvaq;
-        r.forwarded =
-            qe.servedKind == core::QueueEntry::kServedForward;
-        r.fastForwarded =
-            qe.servedKind == core::QueueEntry::kServedFastForward;
-        r.combined = qe.combinedGrant;
-        r.missteered = qe.missteered;
-        if (qe.servedKind != core::QueueEntry::kServedNone)
-            r.accessCycle = qe.servedAt;
+        r.forwarded = sv.kind == core::ServedInfo::kForward;
+        r.fastForwarded = sv.kind == core::ServedInfo::kFastForward;
+        r.combined = sv.combinedGrant;
+        r.missteered = q.entry(slot).missteered;
+        if (sv.kind != core::ServedInfo::kNone)
+            r.accessCycle = sv.at;
         if (info.load)
             r.wbCycle = e.readyAt;
     } else {
@@ -243,6 +242,7 @@ Pipeline::recordCommit(const RobEntry &e, int idx)
 void
 Pipeline::traceCommit(const RobEntry &e)
 {
+    const vm::DynInst &di = instOf(e);
     std::string where;
     if (e.isMem()) {
         if (e.replicated)
@@ -251,15 +251,15 @@ Pipeline::traceCommit(const RobEntry &e)
             where = " [lvaq]";
         else
             where = " [lsq]";
-        if (e.di.isMem())
-            where += format(" @0x%08x", e.di.effAddr);
+        if (di.isMem())
+            where += format(" @0x%08x", di.effAddr);
     }
     *traceOut << format(
         "%8llu  pc=%06u  D%-8llu R%-8llu C%-8llu  %s%s\n",
-        (unsigned long long)e.di.seq, e.di.pcIdx,
+        (unsigned long long)e.seq, di.pcIdx,
         (unsigned long long)e.dispatchedAt,
         (unsigned long long)e.readyAt, (unsigned long long)curCycle,
-        isa::disassemble(e.di.inst).c_str(), where.c_str());
+        isa::disassemble(di.inst).c_str(), where.c_str());
 }
 
 // ---- Memory ----------------------------------------------------------------
@@ -312,7 +312,7 @@ Pipeline::pushStoreData(RobEntry &e)
         at = e.dispatchedAt; // value already in the register file
     } else {
         const RobEntry &p = rob[data.robIdx];
-        if (!p.valid || p.di.seq != data.seq)
+        if (!p.valid || p.seq != data.seq)
             at = curCycle; // producer already committed
         else if (p.completed)
             at = p.readyAt; // may still be in the future
@@ -337,7 +337,7 @@ Pipeline::registerConsumers(int idx)
     // only the base register (src[0]) of a memory operation; a
     // store's data operand (src[1]) instead drives the store-data
     // push, on its own schedule.
-    bool isStore = e.isMem() && decoded(e.di).info->store;
+    bool isStore = e.isMem() && e.info->store;
     bool dataEdgeRegistered = false;
     for (int s = 0; s < e.numSrc; ++s) {
         bool issueEdge = !e.isMem() || s == 0;
@@ -348,7 +348,7 @@ Pipeline::registerConsumers(int idx)
         if (!tag.valid())
             continue; // Value lives in the register file.
         RobEntry &p = rob[tag.robIdx];
-        if (!p.valid || p.di.seq != tag.seq)
+        if (!p.valid || p.seq != tag.seq)
             continue; // Producer already committed.
         if (p.completed) {
             if (issueEdge)
@@ -363,11 +363,11 @@ Pipeline::registerConsumers(int idx)
             dataEdgeRegistered = true;
     }
     if (e.waitCount == 0)
-        pushReady(e.eligibleAt, idx, e.di.seq);
+        pushReady(e.eligibleAt, idx, e.seq);
     if (isStore && !dataEdgeRegistered)
         // The data operand's timing is already decided: run the
         // seed's push logic at the first post-dispatch issue stage.
-        storeDataEvents.push(e.dispatchedAt + 1, idx, e.di.seq);
+        storeDataEvents.push(e.dispatchedAt + 1, idx, e.seq);
 }
 
 void
@@ -394,11 +394,11 @@ Pipeline::onProducerComplete(int pIdx, bool inIssueStage)
             if (inIssueStage)
                 pushStoreData(c);
             else
-                storeDataEvents.push(curCycle, cIdx, c.di.seq);
+                storeDataEvents.push(curCycle, cIdx, c.seq);
         } else {
             c.eligibleAt = std::max(c.eligibleAt, p.readyAt);
             if (--c.waitCount == 0)
-                pushReady(c.eligibleAt, cIdx, c.di.seq);
+                pushReady(c.eligibleAt, cIdx, c.seq);
         }
     }
 }
@@ -446,12 +446,12 @@ Pipeline::visitIssuable(int idx, int &issued)
             // Replicated steering (paper footnote 3): the address
             // resolution picks the surviving copy and kills the
             // other -- no misprediction is possible.
-            if (e.di.stackAccess) {
-                lvaqQueue->setAddress(e.lvaqSlot, e.di.effAddr,
+            if (e.stackAccess) {
+                lvaqQueue->setAddress(e.lvaqSlot, e.effAddr,
                                       curCycle + 1, false);
                 lsqQueue->cancel(e.queueSlot);
             } else {
-                lsqQueue->setAddress(e.queueSlot, e.di.effAddr,
+                lsqQueue->setAddress(e.queueSlot, e.effAddr,
                                      curCycle + 1, false);
                 lvaqQueue->cancel(e.lvaqSlot);
             }
@@ -464,10 +464,10 @@ Pipeline::visitIssuable(int idx, int &issued)
             Stream chosen = e.queueKind == QueueKind::Lvaq
                                 ? Stream::Lvaq
                                 : Stream::Lsq;
-            missteered = !memClassifier->verify(e.di, chosen);
+            missteered = !memClassifier->verify(instOf(e), chosen);
         }
         queueOf(e.queueKind)
-            .setAddress(e.queueSlot, e.di.effAddr, curCycle + 1,
+            .setAddress(e.queueSlot, e.effAddr, curCycle + 1,
                         missteered);
     } else {
         if (e.completed) {
@@ -483,7 +483,7 @@ Pipeline::visitIssuable(int idx, int &issued)
         }
         if (!ready)
             return true;
-        const isa::OpInfo &info = *decoded(e.di).info;
+        const isa::OpInfo &info = *e.info;
         if (!fuPool.tryIssue(info.fu, curCycle, info.latency,
                              info.pipelined))
             return true; // FU busy: keep the bit, retry next cycle.
@@ -511,7 +511,7 @@ Pipeline::issueStage()
     // state).
     storeDataEvents.drainUpTo(curCycle, [this](int idx, InstSeq seq) {
         RobEntry &e = rob[idx];
-        if (e.valid && e.di.seq == seq && !e.storeDataSent)
+        if (e.valid && e.seq == seq && !e.storeDataSent)
             pushStoreData(e);
     });
 
@@ -519,7 +519,7 @@ Pipeline::issueStage()
     // cycle) join the scan set; they stay in it until they act.
     readyEvents.drainUpTo(curCycle, [this](int idx, InstSeq seq) {
         const RobEntry &e = rob[idx];
-        if (e.valid && e.di.seq == seq)
+        if (e.valid && e.seq == seq)
             markIssuable(idx);
     });
 
@@ -528,34 +528,9 @@ Pipeline::issueStage()
     // is the seed's walk body verbatim; the bitmap merely skips the
     // entries for which that body would provably do nothing.
     int issued = 0;
-    bool stop = false;
-    auto scanRange = [&](int lo, int hi) { // slots [lo, hi)
-        for (int w = lo >> 6; !stop && w <= (hi - 1) >> 6; ++w) {
-            int base = w << 6;
-            std::uint64_t bits =
-                issuableBits[static_cast<std::size_t>(w)];
-            if (base < lo)
-                bits &= ~std::uint64_t{0} << (lo - base);
-            if (base + 64 > hi)
-                bits &= (std::uint64_t{1} << (hi - base)) - 1;
-            while (bits) {
-                int idx = base + std::countr_zero(bits);
-                bits &= bits - 1;
-                if (!visitIssuable(idx, issued)) {
-                    stop = true;
-                    break;
-                }
-            }
-        }
-    };
-    int headIdx = rob.headIdx();
-    int occ = rob.occupancy();
-    if (headIdx + occ <= rob.size()) {
-        scanRange(headIdx, headIdx + occ);
-    } else {
-        scanRange(headIdx, rob.size());
-        scanRange(0, headIdx + occ - rob.size());
-    }
+    core::forEachAgeOrdered(
+        issuableBits, rob.headIdx(), rob.occupancy(), rob.size(),
+        [&](int idx) { return visitIssuable(idx, issued); });
 }
 
 // ---- Dispatch ---------------------------------------------------------------
@@ -609,7 +584,12 @@ Pipeline::dispatchStage()
 
         int idx = rob.allocate();
         RobEntry &e = rob[idx];
-        e.di = di;
+        e.seq = di.seq;
+        e.info = sd.info;
+        e.effAddr = di.effAddr;
+        e.instSlot = fetchQueue.frontSlot();
+        e.dest = sd.dest;
+        e.stackAccess = di.stackAccess;
         e.dispatchedAt = curCycle;
         e.queueKind = kind;
 
@@ -646,21 +626,21 @@ Pipeline::dispatchStage()
 void
 Pipeline::fetchStage()
 {
-    int n = 0;
-    while (n < cfg.fetchWidth && fetchQueue.size() < fetchQueueCap) {
-        if (executor.halted())
-            break;
-        if (fetchLimit != 0 && numFetched >= fetchLimit)
-            break;
-        vm::DynInst di = executor.step();
-        stream->record(di);
-        fetchQueue.push_back(di);
-        ++numFetched;
-        ++fetchedInsts;
-        ++n;
-        if (tracer)
+    std::size_t n = std::min(static_cast<std::size_t>(cfg.fetchWidth),
+                             fetchQueueCap - fetchQueue.size());
+    if (fetchLimit != 0)
+        n = static_cast<std::size_t>(std::min<std::uint64_t>(
+            n, fetchLimit > numFetched ? fetchLimit - numFetched : 0));
+    if (n == 0)
+        return;
+    std::size_t k = fetchQueue.fill(executor, n);
+    for (std::size_t i = k; i > 0; --i)
+        stream->record(fetchQueue.fromBack(i));
+    numFetched += k;
+    fetchedInsts += k;
+    if (tracer)
+        for (std::size_t i = 0; i < k; ++i)
             tracer->onFetch(curCycle);
-    }
 }
 
 std::uint64_t
@@ -709,16 +689,16 @@ Pipeline::headCommitEvent() const
     if (rob.empty())
         return core::kNoEvent;
     const RobEntry &e = rob[rob.headIdx()];
-    if (e.isMem() && e.di.isStore()) {
+    if (e.isMem() && e.info->store) {
         // Mirror of the commit stage's readiness test. A denied port
         // is handled separately (commitPortBlocked forbids skipping).
         const core::MemQueue &q =
-            e.replicated && e.di.stackAccess
+            e.replicated && e.stackAccess
                 ? *lvaqQueue
                 : (e.queueKind == QueueKind::Lvaq ? *lvaqQueue
                                                   : *lsqQueue);
-        int slot = e.replicated && e.di.stackAccess ? e.lvaqSlot
-                                                    : e.queueSlot;
+        int slot = e.replicated && e.stackAccess ? e.lvaqSlot
+                                                 : e.queueSlot;
         const core::QueueEntry &qe = q.entry(slot);
         if (qe.addrKnown && qe.dataReady)
             return std::max(qe.addrKnownAt, qe.dataReadyAt);
@@ -748,9 +728,8 @@ Pipeline::maybeSkipCycles()
     // Structures that re-evaluate every cycle must keep ticking.
     if (commitPortBlocked)
         return; // The denied store retries with fresh ports.
-    bool fetchActive = !executor.halted() &&
-                       !(fetchLimit != 0 && numFetched >= fetchLimit) &&
-                       fetchQueue.size() < fetchQueueCap;
+    bool fetchActive =
+        !streamDone() && fetchQueue.size() < fetchQueueCap;
     if (fetchActive)
         return;
     if (!fetchQueue.empty() && !rob.full())
@@ -820,13 +799,13 @@ Pipeline::cycleOnce()
 void
 Pipeline::raiseDeadlock()
 {
-    const RobEntry &h = rob[rob.headIdx()];
+    const vm::DynInst &h = instOf(rob[rob.headIdx()]);
     DeadlockInfo info;
     info.cycle = curCycle;
     info.sinceCommit = curCycle - lastCommit;
-    info.headSeq = h.di.seq;
-    info.headPcIdx = h.di.pcIdx;
-    info.headDisasm = isa::disassemble(h.di.inst);
+    info.headSeq = h.seq;
+    info.headPcIdx = h.pcIdx;
+    info.headDisasm = isa::disassemble(h.inst);
     info.robOccupancy = rob.occupancy();
     info.robSize = rob.size();
     info.lsqOccupancy = lsqQueue->occupancy();
@@ -844,9 +823,7 @@ Pipeline::raiseDeadlock()
 bool
 Pipeline::done() const
 {
-    bool streamDone = executor.halted() ||
-                      (fetchLimit != 0 && numFetched >= fetchLimit);
-    return streamDone && fetchQueue.empty() && rob.empty();
+    return streamDone() && fetchQueue.empty() && rob.empty();
 }
 
 void
@@ -863,13 +840,13 @@ Pipeline::run(std::uint64_t maxInsts)
 }
 
 void
-Pipeline::runUntilFetched(std::uint64_t insts)
+Pipeline::runUntilFetched(std::uint64_t insts, std::uint64_t cap)
 {
-    fetchLimit = 0;
+    fetchLimit = cap;
     std::uint64_t iter = 0;
-    while (numFetched < insts && !executor.halted()) {
+    while (numFetched < insts && !streamDone()) {
         cycleOnce();
-        if (numFetched < insts && !executor.halted())
+        if (numFetched < insts && !streamDone())
             maybeSkipCycles();
         checkGuards(iter++);
     }

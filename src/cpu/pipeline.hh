@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -105,9 +106,11 @@ class Pipeline : public stats::Group
     /**
      * Advance until at least @p insts instructions have been fetched
      * (or the stream ends) *without* draining the pipeline — the
-     * warmup phase of a sampled simulation.
+     * warmup phase of a sampled simulation. Fetch stops at @p cap
+     * instructions (0 = no cap), exactly where a stream that ends
+     * there would stop it.
      */
-    void runUntilFetched(std::uint64_t insts);
+    void runUntilFetched(std::uint64_t insts, std::uint64_t cap = 0);
 
     /**
      * Zero all statistics (cycles, committed counts, cache and queue
@@ -235,33 +238,73 @@ class Pipeline : public stats::Group
     RenameTable renameTable;
 
     /**
-     * Fixed-capacity ring of fetched-but-not-dispatched instructions
-     * (the seed used a std::deque; the ring never allocates after
-     * construction).
+     * The in-flight instruction records in fetch order: a power-of-two
+     * ring the front end fills one block per cycle through a single
+     * InstSource::fill call. It spans the fetch queue (the records
+     * fetched but not yet dispatched, [head, tail)) and the ROB: a
+     * record stays in its slot until its instruction commits, so
+     * dispatch copies no DynInst and a RobEntry keeps only the slot.
+     * The buffer runs one block past the ring so that a block that
+     * wraps is written contiguously; its tail is then copied to the
+     * front.
      */
-    class FetchQueue
+    class InstRing
     {
       public:
-        void init(std::size_t cap) { buf.resize(cap); }
-        bool empty() const { return n == 0; }
-        std::size_t size() const { return n; }
-        std::size_t capacity() const { return buf.size(); }
-        const vm::DynInst &front() const { return buf[headPos]; }
-        void pop_front()
+        /** @p span: records live at once; @p maxBlock: largest fill. */
+        void
+        init(std::size_t span, std::size_t maxBlock)
         {
-            headPos = (headPos + 1) % buf.size();
-            --n;
+            mask = std::bit_ceil(span) - 1;
+            buf.assign(mask + 1 + maxBlock, vm::DynInst{});
         }
-        void push_back(const vm::DynInst &di)
+
+        // The fetch queue.
+        bool empty() const { return headPos == tailPos; }
+        std::size_t size() const { return tailPos - headPos; }
+        const vm::DynInst &front() const { return buf[frontSlot()]; }
+        std::uint32_t
+        frontSlot() const
         {
-            buf[(headPos + n) % buf.size()] = di;
-            ++n;
+            return static_cast<std::uint32_t>(headPos & mask);
+        }
+        void pop_front() { ++headPos; }
+
+        /** Append up to @p n records from @p src; returns the count. */
+        std::size_t
+        fill(vm::InstSource &src, std::size_t n)
+        {
+            std::size_t at = tailPos & mask;
+            std::size_t k = src.fill(&buf[at], n);
+            if (at + k > mask + 1)
+                std::copy(buf.begin() + static_cast<std::ptrdiff_t>(
+                                            mask + 1),
+                          buf.begin() +
+                              static_cast<std::ptrdiff_t>(at + k),
+                          buf.begin());
+            tailPos += k;
+            return k;
+        }
+
+        /** The @p i-th record from the tail (1 = newest). */
+        const vm::DynInst &
+        fromBack(std::size_t i) const
+        {
+            return buf[(tailPos - i) & mask];
+        }
+
+        /** The record in @p slot (a RobEntry's instSlot). */
+        const vm::DynInst &
+        operator[](std::uint32_t slot) const
+        {
+            return buf[slot];
         }
 
       private:
         std::vector<vm::DynInst> buf;
+        std::size_t mask = 0;
         std::size_t headPos = 0;
-        std::size_t n = 0;
+        std::size_t tailPos = 0;
     };
 
     /**
@@ -297,10 +340,26 @@ class Pipeline : public stats::Group
         return s;
     }
 
-    FetchQueue fetchQueue;
+    InstRing fetchQueue;
     std::size_t fetchQueueCap;
+
+    /** The full record of the instruction in @p e. */
+    const vm::DynInst &
+    instOf(const RobEntry &e) const
+    {
+        return fetchQueue[e.instSlot];
+    }
+
     std::uint64_t fetchLimit = 0; ///< 0 = unlimited.
     std::uint64_t numFetched = 0;
+
+    /** True when fetch has reached the stream's end or the cap. */
+    bool
+    streamDone() const
+    {
+        return executor.halted() ||
+               (fetchLimit != 0 && numFetched >= fetchLimit);
+    }
 
     Cycle curCycle = 0;
     Cycle lastCommit = 0;

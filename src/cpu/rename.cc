@@ -10,33 +10,10 @@ RenameTable::reset()
     table.fill(ProducerTag{});
 }
 
-int
-RenameTable::index(isa::RegRef r)
-{
-    if (r.file == isa::RegFile::None)
-        panic("rename: invalid register reference");
-    int base = r.file == isa::RegFile::Fpr ? 32 : 0;
-    return base + static_cast<int>(r.idx);
-}
-
-ProducerTag
-RenameTable::producer(isa::RegRef r) const
-{
-    return table[static_cast<std::size_t>(index(r))];
-}
-
 void
-RenameTable::setProducer(isa::RegRef r, ProducerTag tag)
+RenameTable::invalidRef()
 {
-    table[static_cast<std::size_t>(index(r))] = tag;
-}
-
-void
-RenameTable::clearIfProducer(isa::RegRef r, ProducerTag tag)
-{
-    auto &slot = table[static_cast<std::size_t>(index(r))];
-    if (slot.robIdx == tag.robIdx && slot.seq == tag.seq)
-        slot = ProducerTag{};
+    panic("rename: invalid register reference");
 }
 
 } // namespace ddsim::cpu

@@ -34,22 +34,44 @@ class RenameTable
     void reset();
 
     /** Current in-flight producer of @p r (invalid if in regfile). */
-    ProducerTag producer(isa::RegRef r) const;
+    ProducerTag
+    producer(isa::RegRef r) const
+    {
+        return table[index(r)];
+    }
 
     /** Instruction @p tag now produces @p r. */
-    void setProducer(isa::RegRef r, ProducerTag tag);
+    void
+    setProducer(isa::RegRef r, ProducerTag tag)
+    {
+        table[index(r)] = tag;
+    }
 
     /**
      * Called at commit: if @p tag is still the newest producer of
      * @p r, the value is now in the register file.
      */
-    void clearIfProducer(isa::RegRef r, ProducerTag tag);
+    void
+    clearIfProducer(isa::RegRef r, ProducerTag tag)
+    {
+        ProducerTag &slot = table[index(r)];
+        if (slot.robIdx == tag.robIdx && slot.seq == tag.seq)
+            slot = ProducerTag{};
+    }
 
   private:
     // 0..31 GPRs, 32..63 FPRs.
     std::array<ProducerTag, 64> table;
 
-    static int index(isa::RegRef r);
+    static std::size_t
+    index(isa::RegRef r)
+    {
+        if (r.file == isa::RegFile::None)
+            invalidRef();
+        return (r.file == isa::RegFile::Fpr ? 32 : 0) +
+               static_cast<std::size_t>(r.idx);
+    }
+    [[noreturn]] static void invalidRef();
 };
 
 } // namespace ddsim::cpu

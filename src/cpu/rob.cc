@@ -11,46 +11,16 @@ Rob::Rob(int size)
         panic("ROB needs at least one entry");
 }
 
-int
-Rob::allocate()
+void
+Rob::allocateFull()
 {
-    if (full())
-        panic("Rob::allocate on a full ROB");
-    int idx = tail;
-    tail = (tail + 1) % capacity;
-    ++count;
-    // Targeted reset: di, dispatchedAt, queueKind, numSrc and the
-    // first numSrc src tags are unconditionally overwritten by the
-    // dispatch stage before anything reads them, so only the
-    // remaining state is cleared here (the full RobEntry{} assignment
-    // copied ~150 bytes per dispatch).
-    RobEntry &e = entries[static_cast<std::size_t>(idx)];
-    e.valid = true;
-    e.completed = false;
-    e.readyAt = 0;
-    e.src[0] = ProducerTag{};
-    e.src[1] = ProducerTag{};
-    e.queueSlot = -1;
-    e.lvaqSlot = -1;
-    e.replicated = false;
-    e.addrIssued = false;
-    e.storeDataSent = false;
-    e.waitCount = 0;
-    e.eligibleAt = 0;
-    e.consHead = -1;
-    e.consNext[0] = -1;
-    e.consNext[1] = -1;
-    return idx;
+    panic("Rob::allocate on a full ROB");
 }
 
 void
-Rob::releaseHead()
+Rob::releaseEmpty()
 {
-    if (empty())
-        panic("Rob::releaseHead on an empty ROB");
-    entries[static_cast<std::size_t>(head)].valid = false;
-    head = (head + 1) % capacity;
-    --count;
+    panic("Rob::releaseHead on an empty ROB");
 }
 
 } // namespace ddsim::cpu

@@ -553,7 +553,7 @@ runExact(RunSession &s, SimResult &r)
     cpu::Pipeline &pipe = s.pipeline();
     const RunOptions &opts = s.options();
     if (opts.warmupInsts > 0) {
-        pipe.runUntilFetched(opts.warmupInsts);
+        pipe.runUntilFetched(opts.warmupInsts, fetchCap(opts));
         pipe.resetStats();
     }
     s.attachObservers();
@@ -597,6 +597,10 @@ runSampled(RunSession &s, SimResult &r)
     // Instructions consumed from the source so far: fetched in detail
     // plus functionally skipped.
     auto consumed = [&] { return pipe.fetchedCount() + ffSkipped; };
+    // The detailed phases' fetch cap: a capped run stops where a
+    // stream recorded to the cap ends, so a live source and a trace
+    // fed to sweeps give the same result.
+    auto detailCap = [&] { return limit ? limit - ffSkipped : 0; };
 
     // Deterministic jitter on the fast-forward length (xorshift64,
     // fixed seed): loop workloads have iteration periods that alias
@@ -622,7 +626,7 @@ runSampled(RunSession &s, SimResult &r)
         if (limit)
             w = std::min(w, limit - consumed());
         if (w > 0)
-            pipe.runUntilFetched(pipe.fetchedCount() + w);
+            pipe.runUntilFetched(pipe.fetchedCount() + w, detailCap());
         if (src.halted() || (limit && consumed() >= limit))
             break;
 
@@ -632,7 +636,7 @@ runSampled(RunSession &s, SimResult &r)
             d = std::min(d, limit - consumed());
         std::uint64_t c0 = pipe.numCycles.value();
         std::uint64_t i0 = pipe.committedInsts.value();
-        pipe.runUntilFetched(pipe.fetchedCount() + d);
+        pipe.runUntilFetched(pipe.fetchedCount() + d, detailCap());
         std::uint64_t dc = pipe.numCycles.value() - c0;
         std::uint64_t di = pipe.committedInsts.value() - i0;
         if (dc > 0 && di > 0) {

@@ -277,6 +277,15 @@ Executor::step()
     return di;
 }
 
+std::size_t
+Executor::fill(DynInst *out, std::size_t n)
+{
+    std::size_t k = 0;
+    for (; k < n && !haltFlag; ++k)
+        out[k] = step();
+    return k;
+}
+
 std::uint64_t
 Executor::run(std::uint64_t maxInsts)
 {

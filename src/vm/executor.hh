@@ -22,7 +22,7 @@
 namespace ddsim::vm {
 
 /** Functional machine state + stepper. */
-class Executor : public InstSource
+class Executor final : public InstSource
 {
   public:
     /** Return-address sentinel: "jr" to this halts the machine. */
@@ -38,6 +38,9 @@ class Executor : public InstSource
      * Calling step() on a halted machine is a panic.
      */
     DynInst step() override;
+
+    /** A loop of step() until @p n records or the halt. */
+    std::size_t fill(DynInst *out, std::size_t n) override;
 
     /** Run at most @p maxInsts instructions; returns number executed. */
     std::uint64_t run(std::uint64_t maxInsts);

@@ -61,32 +61,52 @@ TraceReplay::step()
 {
     if (halted())
         panic("TraceReplay::step() called on an exhausted trace");
-
-    const std::uint32_t *w = trace.words.data();
-    std::uint32_t w0 = w[pos++];
-    std::uint32_t pcIdx = w0 & RecordedTrace::PcMask;
-
     DynInst di;
-    di.seq = emitted++;
-    di.pcIdx = pcIdx;
-    di.inst = trace.prog->fetch(pcIdx);
-    di.taken = (w0 & RecordedTrace::TakenBit) != 0;
-    if (w0 & RecordedTrace::MemBit) {
-        di.effAddr = w[pos++];
-        di.baseVersion = w[pos++];
-        di.accessSize = isa::opInfo(di.inst.op).accessSize;
-        di.stackAccess = layout::isStackAddr(di.effAddr);
-    }
-    if (w0 & RecordedTrace::IndirectBit)
-        di.nextPcIdx = w[pos++];
-    else if (di.inst.op == OpCode::J || di.inst.op == OpCode::JAL)
-        di.nextPcIdx = di.inst.target;
-    else if (di.taken)
-        di.nextPcIdx = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(pcIdx) + 1 + di.inst.imm);
-    else
-        di.nextPcIdx = pcIdx + 1;
+    fill(&di, 1);
     return di;
+}
+
+std::size_t
+TraceReplay::fill(DynInst *out, std::size_t n)
+{
+    if (n > trace.numInsts - emitted)
+        n = static_cast<std::size_t>(trace.numInsts - emitted);
+    const std::uint32_t *w = trace.words.data();
+    const prog::Program &program = *trace.prog;
+    std::size_t p = pos;
+    for (std::size_t k = 0; k < n; ++k) {
+        DynInst &di = out[k];
+        std::uint32_t w0 = w[p++];
+        std::uint32_t pcIdx = w0 & RecordedTrace::PcMask;
+        di.seq = emitted + k;
+        di.pcIdx = pcIdx;
+        di.inst = program.fetch(pcIdx);
+        di.taken = (w0 & RecordedTrace::TakenBit) != 0;
+        if (w0 & RecordedTrace::MemBit) {
+            di.effAddr = w[p];
+            di.baseVersion = w[p + 1];
+            p += 2;
+            di.accessSize = isa::opInfo(di.inst.op).accessSize;
+            di.stackAccess = layout::isStackAddr(di.effAddr);
+        } else {
+            di.effAddr = 0;
+            di.baseVersion = 0;
+            di.accessSize = 0;
+            di.stackAccess = false;
+        }
+        if (w0 & RecordedTrace::IndirectBit)
+            di.nextPcIdx = w[p++];
+        else if (di.inst.op == OpCode::J || di.inst.op == OpCode::JAL)
+            di.nextPcIdx = di.inst.target;
+        else if (di.taken)
+            di.nextPcIdx = static_cast<std::uint32_t>(
+                static_cast<std::int64_t>(pcIdx) + 1 + di.inst.imm);
+        else
+            di.nextPcIdx = pcIdx + 1;
+    }
+    pos = p;
+    emitted += n;
+    return n;
 }
 
 } // namespace ddsim::vm

@@ -8,6 +8,7 @@
 #ifndef DDSIM_VM_TRACE_HH_
 #define DDSIM_VM_TRACE_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -80,6 +81,14 @@ class InstSource
 
     /** Produce the next instruction; panics when halted. */
     virtual DynInst step() = 0;
+
+    /**
+     * Produce up to @p n next instructions into out[0, n), every
+     * field written, exactly the records n step() calls would return.
+     * @return The count written: fewer than @p n only when the stream
+     *         ends (0 once halted; never panics).
+     */
+    virtual std::size_t fill(DynInst *out, std::size_t n) = 0;
 };
 
 /**
@@ -136,13 +145,14 @@ class RecordedTrace
  * cheap to construct, and many replays can share one trace across
  * threads.
  */
-class TraceReplay : public InstSource
+class TraceReplay final : public InstSource
 {
   public:
     explicit TraceReplay(const RecordedTrace &trace) : trace(trace) {}
 
     bool halted() const override { return emitted == trace.numInsts; }
     DynInst step() override;
+    std::size_t fill(DynInst *out, std::size_t n) override;
 
   private:
     const RecordedTrace &trace;

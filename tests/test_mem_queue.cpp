@@ -160,6 +160,31 @@ TEST(MemQueue, PortLimitDelaysLoads)
     EXPECT_EQ(second.size(), 1u);
 }
 
+TEST(MemQueue, OlderLoadWinsThePortWhateverTheAddressOrder)
+{
+    // One port, and the younger load's address arrives first; both
+    // become usable in the same cycle. The walk is oldest first from
+    // the queue head, so the older load wins even when it sits in the
+    // queue's last slot and the younger one has wrapped to slot 0.
+    Rig r(basicPolicy(1), 4);
+    for (int i = 0; i < 3; ++i)
+        r.q.release(r.addLoad());
+    int older = r.addLoad(reg::sp, 0);
+    int younger = r.addLoad(reg::sp, 64);
+    ASSERT_EQ(older, 3);
+    ASSERT_EQ(younger, 0);
+    r.q.setAddress(younger, stackAddr + 64, 2, false);
+    EXPECT_TRUE(r.tick(0).empty());
+    r.q.setAddress(older, stackAddr, 2, false);
+    EXPECT_TRUE(r.tick(1).empty());
+    auto first = r.tick(2);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].slot, older);
+    auto second = r.tick(3);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0].slot, younger);
+}
+
 TEST(MemQueue, TwoPortsServiceTwoLoads)
 {
     Rig r(basicPolicy(2));
@@ -449,6 +474,41 @@ TEST(MemQueue, ReleasedStoreLeavesTheIndex)
     auto done = r.tick(2);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(r.q.loadsForwarded.value(), 0u);
+    EXPECT_EQ(r.q.loadsFromCache.value(), 1u);
+}
+
+TEST(MemQueue, LoadSearchesAgainWhenItsStoreIsCancelled)
+{
+    Rig r(basicPolicy(2));
+    int st = r.addStore(reg::sp, 0);
+    int ld = r.addLoad(reg::sp, 0);
+    r.q.setAddress(st, stackAddr, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    // The load finds the covering store and waits for its data.
+    EXPECT_TRUE(r.tick(1).empty());
+    EXPECT_TRUE(r.tick(2).empty());
+    r.q.cancel(st);
+    // Searching again finds no older store: the cache serves it.
+    auto done = r.tick(3);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].slot, ld);
+    EXPECT_EQ(r.q.loadsFromCache.value(), 1u);
+    EXPECT_EQ(r.q.loadsForwarded.value(), 0u);
+}
+
+TEST(MemQueue, LoadSearchesAgainWhenItsStoreIsReaddressed)
+{
+    Rig r(basicPolicy(2));
+    int st = r.addStore(reg::sp, 0);
+    int ld = r.addLoad(reg::sp, 0);
+    r.q.setAddress(st, stackAddr, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    EXPECT_TRUE(r.tick(1).empty()); // found st; no data yet
+    // The store moves to another line: the load no longer overlaps it.
+    r.q.setAddress(st, stackAddr + 64, 2, false);
+    auto done = r.tick(2);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].slot, ld);
     EXPECT_EQ(r.q.loadsFromCache.value(), 1u);
 }
 

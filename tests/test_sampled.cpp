@@ -273,6 +273,62 @@ TEST(Sampled, DeterministicAndTraceReplayEquivalent)
     EXPECT_EQ(a.sampling.detailCycles, c.sampling.detailCycles);
 }
 
+TEST(Sampled, CapStopsFetchExactlyAndMatchesATraceRecordedToIt)
+{
+    // A cap that is not a multiple of the fetch width: the detailed
+    // phases must stop fetching at it, as a trace recorded to the cap
+    // (what sweeps and farm workers replay) stops them.
+    const config::MachineConfig cfg = config::decoupledOptimized(3, 2);
+    for (const char *name : {"li", "vortex"}) {
+        SCOPED_TRACE(name);
+        workloads::WorkloadParams p;
+        p.scale = workloads::find(name)->defaultScale / 4;
+        prog::Program program = workloads::build(name, p);
+
+        RunOptions so;
+        so.engine = Engine::Sampled;
+        so.maxInsts = 10007;
+        SimResult live = run(program, cfg, so);
+        EXPECT_EQ(live.committed, so.maxInsts);
+
+        RunOptions fed = so;
+        fed.trace = std::make_shared<const vm::RecordedTrace>(
+            vm::RecordedTrace::record(program, fetchCap(so)));
+        SimResult traced = run(program, cfg, fed);
+        EXPECT_EQ(live.cycles, traced.cycles);
+        EXPECT_EQ(live.committed, traced.committed);
+        EXPECT_DOUBLE_EQ(live.ipc, traced.ipc);
+        EXPECT_EQ(live.loads, traced.loads);
+        EXPECT_EQ(live.stores, traced.stores);
+        EXPECT_EQ(live.localLoads, traced.localLoads);
+        EXPECT_EQ(live.localStores, traced.localStores);
+        EXPECT_DOUBLE_EQ(live.meanDynFrameWords, traced.meanDynFrameWords);
+        EXPECT_DOUBLE_EQ(live.meanStaticFrameWords,
+                         traced.meanStaticFrameWords);
+        EXPECT_EQ(live.l1Accesses, traced.l1Accesses);
+        EXPECT_EQ(live.l1Misses, traced.l1Misses);
+        EXPECT_EQ(live.lvcAccesses, traced.lvcAccesses);
+        EXPECT_EQ(live.lvcMisses, traced.lvcMisses);
+        EXPECT_EQ(live.l2Accesses, traced.l2Accesses);
+        EXPECT_EQ(live.memAccesses, traced.memAccesses);
+        EXPECT_EQ(live.lsqForwards, traced.lsqForwards);
+        EXPECT_EQ(live.lvaqForwards, traced.lvaqForwards);
+        EXPECT_EQ(live.lvaqFastForwards, traced.lvaqFastForwards);
+        EXPECT_EQ(live.lvaqCombined, traced.lvaqCombined);
+        EXPECT_EQ(live.lvaqLoads, traced.lvaqLoads);
+        EXPECT_DOUBLE_EQ(live.classifierAccuracy,
+                         traced.classifierAccuracy);
+        EXPECT_EQ(live.missteered, traced.missteered);
+        EXPECT_EQ(live.classified, traced.classified);
+        EXPECT_EQ(live.toLvaq, traced.toLvaq);
+        EXPECT_EQ(live.sampling.windows, traced.sampling.windows);
+        EXPECT_EQ(live.sampling.detailInsts, traced.sampling.detailInsts);
+        EXPECT_EQ(live.sampling.detailCycles,
+                  traced.sampling.detailCycles);
+        EXPECT_DOUBLE_EQ(live.sampling.ipcCi95, traced.sampling.ipcCi95);
+    }
+}
+
 TEST(PipelineFastForward, StopsAtHaltAndCharacterizesLikeAnExecutor)
 {
     workloads::WorkloadParams p;

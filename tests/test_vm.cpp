@@ -2,20 +2,24 @@
  * @file
  * Functional executor tests: memory semantics, arithmetic, control
  * flow, calling convention, DynInst annotations (effective address,
- * oracle stack classification, base-register versions) and the
- * StreamStats accumulator.
+ * oracle stack classification, base-register versions), block fill
+ * against step() for both instruction sources, and the StreamStats
+ * accumulator.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "prog/builder.hh"
 #include "util/log.hh"
 #include "vm/executor.hh"
 #include "vm/memory.hh"
 #include "vm/trace.hh"
+#include "workloads/workloads.hh"
 
 using namespace ddsim;
 using namespace ddsim::prog;
@@ -400,6 +404,118 @@ TEST(Executor, DeterministicExecution)
     }
     EXPECT_TRUE(e2.halted());
     EXPECT_EQ(e1.instsExecuted(), e2.instsExecuted());
+}
+
+namespace {
+
+void
+expectSameRecord(const DynInst &a, const DynInst &b)
+{
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.pcIdx, b.pcIdx);
+    EXPECT_EQ(a.inst, b.inst);
+    EXPECT_EQ(a.effAddr, b.effAddr);
+    EXPECT_EQ(a.accessSize, b.accessSize);
+    EXPECT_EQ(a.stackAccess, b.stackAccess);
+    EXPECT_EQ(a.baseVersion, b.baseVersion);
+    EXPECT_EQ(a.taken, b.taken);
+    EXPECT_EQ(a.nextPcIdx, b.nextPcIdx);
+}
+
+/** A record with every field set to a value no real one carries. */
+DynInst
+garbageRecord()
+{
+    DynInst g;
+    g.seq = ~InstSeq{0};
+    g.pcIdx = 0xdeadbeef;
+    g.inst.op = OpCode::HALT;
+    g.inst.rd = g.inst.rs = g.inst.rt = 77;
+    g.inst.imm = -12345;
+    g.inst.target = 0xdeadbeef;
+    g.inst.localHint = true;
+    g.effAddr = 0xdeadbeef;
+    g.accessSize = 99;
+    g.stackAccess = true;
+    g.baseVersion = 0xdeadbeef;
+    g.taken = true;
+    g.nextPcIdx = 0xdeadbeef;
+    return g;
+}
+
+/**
+ * Drain two sources built by @p make, one with step() and one with
+ * fill() in blocks of varied size (including 0) into buffers full of
+ * garbage, and expect the same records field for field. The last
+ * fill asks past the end; the fill before it ends exactly at halt.
+ */
+template <class Make>
+void
+expectFillMatchesStep(Make make)
+{
+    auto stepper = make();
+    std::vector<DynInst> want;
+    while (!stepper->halted())
+        want.push_back(stepper->step());
+    ASSERT_GT(want.size(), 100u);
+
+    auto filler = make();
+    const std::size_t blocks[] = {0, 1, 16, 3, 0, 7, 13};
+    std::vector<DynInst> buf;
+    std::size_t got = 0;
+    for (std::size_t i = 0; got + 16 < want.size(); ++i) {
+        std::size_t n = blocks[i % std::size(blocks)];
+        buf.assign(n + 1, garbageRecord());
+        ASSERT_EQ(filler->fill(buf.data(), n), n);
+        for (std::size_t k = 0; k < n; ++k)
+            expectSameRecord(buf[k], want[got + k]);
+        EXPECT_EQ(buf[n].seq, ~InstSeq{0}) << "wrote past n";
+        got += n;
+        EXPECT_FALSE(filler->halted());
+    }
+
+    // A fill that ends exactly at halt, then fills past the end.
+    std::size_t left = want.size() - got;
+    buf.assign(left, garbageRecord());
+    ASSERT_EQ(filler->fill(buf.data(), left), left);
+    for (std::size_t k = 0; k < left; ++k)
+        expectSameRecord(buf[k], want[got + k]);
+    EXPECT_TRUE(filler->halted());
+    buf.assign(4, garbageRecord());
+    EXPECT_EQ(filler->fill(buf.data(), 4), 0u);
+    EXPECT_EQ(filler->fill(buf.data(), 0), 0u);
+
+    // A fill asked for more than is left returns what is left.
+    auto past = make();
+    buf.assign(want.size() + 5, garbageRecord());
+    ASSERT_EQ(past->fill(buf.data(), buf.size()), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k)
+        expectSameRecord(buf[k], want[k]);
+    EXPECT_TRUE(past->halted());
+}
+
+Program
+fillProgram()
+{
+    workloads::WorkloadParams p;
+    p.scale = workloads::find("li")->defaultScale / 16;
+    return workloads::build("li", p);
+}
+
+} // namespace
+
+TEST(InstSource, ExecutorFillEqualsStep)
+{
+    Program p = fillProgram();
+    expectFillMatchesStep([&] { return std::make_unique<Executor>(p); });
+}
+
+TEST(InstSource, TraceReplayFillEqualsStep)
+{
+    Program p = fillProgram();
+    const RecordedTrace trace = RecordedTrace::record(p);
+    expectFillMatchesStep(
+        [&] { return std::make_unique<TraceReplay>(trace); });
 }
 
 TEST(StreamStats, CountsMixAndFrames)
