@@ -51,9 +51,7 @@ Options::Options(int argc, const char *const *argv)
     sampling.period = static_cast<std::uint64_t>(sp);
     sampling.detail = static_cast<std::uint64_t>(sd);
     sampling.warmup = static_cast<std::uint64_t>(swu);
-    // Subtraction form: the sum wraps for values near UINT64_MAX.
-    if (sampling.warmup > sampling.period ||
-        sampling.detail > sampling.period - sampling.warmup)
+    if (!sampling.valid())
         fatal("--sample-warmup + --sample-detail must not exceed "
               "--sample-period");
 

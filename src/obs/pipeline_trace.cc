@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/log.hh"
+#include "util/varint.hh"
 
 namespace ddsim::obs {
 
@@ -139,21 +140,6 @@ PipelineTracer::~PipelineTracer()
 }
 
 void
-PipelineTracer::putVarint(std::uint64_t v)
-{
-    char buf[10];
-    int n = 0;
-    do {
-        char byte = static_cast<char>(v & 0x7f);
-        v >>= 7;
-        if (v)
-            byte |= static_cast<char>(0x80);
-        buf[n++] = byte;
-    } while (v);
-    os.write(buf, n);
-}
-
-void
 PipelineTracer::onDispatch(int robIdx, std::uint64_t seq,
                            std::uint64_t cycle)
 {
@@ -180,9 +166,9 @@ PipelineTracer::onCommit(int robIdx, TraceRecord rec)
     }
     // else: dispatched before the tracer attached; leave unknown.
 
-    putVarint(rec.seq - prevSeq);
+    varint::put(os, rec.seq - prevSeq);
     prevSeq = rec.seq;
-    putVarint(rec.pcIdx);
+    varint::put(os, rec.pcIdx);
     std::uint8_t flags = 0;
     flags |= rec.isLoad ? 0x01 : 0;
     flags |= rec.isStore ? 0x02 : 0;
@@ -193,14 +179,14 @@ PipelineTracer::onCommit(int robIdx, TraceRecord rec)
     flags |= rec.combined ? 0x40 : 0;
     flags |= rec.missteered ? 0x80 : 0;
     os.put(static_cast<char>(flags));
-    putVarint(rec.commitCycle - prevCommit);
+    varint::put(os, rec.commitCycle - prevCommit);
     prevCommit = rec.commitCycle;
-    putVarint(encodeBack(rec.commitCycle, rec.fetchCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.dispatchCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.queueCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.issueCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.accessCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.wbCycle));
+    varint::put(os, encodeBack(rec.commitCycle, rec.fetchCycle));
+    varint::put(os, encodeBack(rec.commitCycle, rec.dispatchCycle));
+    varint::put(os, encodeBack(rec.commitCycle, rec.queueCycle));
+    varint::put(os, encodeBack(rec.commitCycle, rec.issueCycle));
+    varint::put(os, encodeBack(rec.commitCycle, rec.accessCycle));
+    varint::put(os, encodeBack(rec.commitCycle, rec.wbCycle));
     ++numRecords;
 }
 
@@ -275,24 +261,13 @@ TraceReader::TraceReader(const std::string &path)
 bool
 TraceReader::getVarint(std::uint64_t &v)
 {
-    v = 0;
-    int shift = 0;
-    while (true) {
-        int c = is.get();
-        if (c == std::char_traits<char>::eof())
-            return false;
-        // The tenth byte holds bit 63 only; anything above it would
-        // be shifted out silently.
-        if (shift == 63 && (c & 0x7f) > 1)
-            corrupt(offset(), "malformed varint (overflows 64 bits)");
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return true;
-        shift += 7;
-        if (shift >= 64)
-            corrupt(offset(),
-                    "malformed varint (continuation past 64 bits)");
-    }
+    // istream::get() returns EOF, a negative value, at the end.
+    const varint::Status st = varint::get([&] { return is.get(); }, v);
+    if (st == varint::Status::Overflow)
+        corrupt(offset(), "malformed varint (overflows 64 bits)");
+    if (st == varint::Status::TooLong)
+        corrupt(offset(), "malformed varint (continuation past 64 bits)");
+    return st == varint::Status::Ok;
 }
 
 bool

@@ -217,12 +217,7 @@ GridSpec::validate() const
                   "policy '%s'",
                   title.c_str(), i, job.annotate.c_str());
         if (job.engine == Engine::Sampled) {
-            // Subtraction form: the sum wraps for plans near
-            // UINT64_MAX (same hazard runSampled guards against).
-            if (job.sampling.detail == 0 || job.sampling.period == 0 ||
-                job.sampling.warmup > job.sampling.period ||
-                job.sampling.detail >
-                    job.sampling.period - job.sampling.warmup)
+            if (!job.sampling.valid())
                 fatal("grid spec '%s': job %zu has an invalid "
                       "sampling plan (period %llu, detail %llu, "
                       "warmup %llu)",

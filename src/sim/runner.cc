@@ -172,12 +172,7 @@ checkOptions(const RunOptions &opts)
             raise(ConfigError("sampling",
                               "sampled engine needs a non-zero sampling "
                               "period and detail window"));
-        // Checked as two subtraction-safe comparisons: the obvious
-        // `warmup + detail > period` wraps around for plans near
-        // UINT64_MAX and would wave an impossible plan through (the
-        // fast-forward length `period - warmup - detail` then
-        // underflows to an astronomically long skip).
-        if (sp.warmup > sp.period || sp.detail > sp.period - sp.warmup)
+        if (!sp.valid())
             raise(ConfigError(
                 "sampling",
                 format("sampling warmup (%llu) + detail (%llu) must fit "

@@ -76,6 +76,19 @@ struct SamplingPlan
     std::uint64_t detail = 2560; ///< Measured window length.
     std::uint64_t warmup = 256;  ///< Detailed warm-up per window.
 
+    /**
+     * True when the plan can run: a non-zero period and detail window,
+     * and warmup + detail within the period. Compared by subtraction:
+     * the sum wraps for plans near UINT64_MAX and would wave through a
+     * plan whose fast-forward length, period - warmup - detail,
+     * underflows to an astronomically long skip.
+     */
+    bool valid() const
+    {
+        return period > 0 && detail > 0 && warmup <= period &&
+               detail <= period - warmup;
+    }
+
     bool operator==(const SamplingPlan &o) const
     {
         return period == o.period && detail == o.detail &&

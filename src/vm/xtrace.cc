@@ -12,6 +12,7 @@
 #include "util/atomic_file.hh"
 #include "util/error.hh"
 #include "util/log.hh"
+#include "util/varint.hh"
 
 namespace ddsim::vm {
 
@@ -112,27 +113,20 @@ struct ByteReader
     varint(const char *what)
     {
         const std::size_t start = pos;
-        std::uint64_t v = 0;
-        int shift = 0;
-        while (true) {
-            if (pos >= buf.size())
-                corrupt(start,
-                        std::string("truncated varint (") + what + ")");
-            std::uint8_t b =
-                static_cast<std::uint8_t>(buf[pos++]);
-            if (shift == 63 && (b & 0x7f) > 1)
-                corrupt(start,
-                        std::string("varint overflows 64 bits (") +
-                            what + ")");
-            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            if (!(b & 0x80))
-                return v;
-            shift += 7;
-            if (shift > 63)
-                corrupt(start,
-                        std::string("varint overflows 64 bits (") +
-                            what + ")");
-        }
+        std::uint64_t v;
+        const varint::Status st = varint::get(
+            [&]() -> int {
+                return pos < buf.size()
+                           ? static_cast<std::uint8_t>(buf[pos++])
+                           : -1;
+            },
+            v);
+        if (st == varint::Status::Ok)
+            return v;
+        corrupt(start, std::string(st == varint::Status::Truncated
+                                       ? "truncated varint ("
+                                       : "varint overflows 64 bits (") +
+                           what + ")");
     }
 
     std::uint32_t
@@ -161,18 +155,6 @@ struct ByteReader
         return v;
     }
 };
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    do {
-        std::uint8_t b = v & 0x7f;
-        v >>= 7;
-        if (v)
-            b |= 0x80;
-        os.put(static_cast<char>(b));
-    } while (v);
-}
 
 void
 putU32le(std::ostream &os, std::uint32_t v)
@@ -383,18 +365,18 @@ ExternalTrace::save(const std::string &path) const
     AtomicFile file(path, /*binary=*/true);
     std::ostream &os = file.stream();
     os.write(kXtraceMagic, sizeof(kXtraceMagic));
-    putVarint(os, kXtraceVersion);
-    putVarint(os, hintsValid_ ? kXtraceFlagHintsValid : 0);
+    varint::put(os, kXtraceVersion);
+    varint::put(os, hintsValid_ ? kXtraceFlagHintsValid : 0);
     const std::string &name = prog_->name();
-    putVarint(os, name.size());
+    varint::put(os, name.size());
     os.write(name.data(),
              static_cast<std::streamsize>(name.size()));
-    putVarint(os, prog_->entry());
-    putVarint(os, prog_->textSize());
+    varint::put(os, prog_->entry());
+    varint::put(os, prog_->textSize());
     for (std::uint32_t i = 0;
          i < static_cast<std::uint32_t>(prog_->textSize()); ++i)
         putU32le(os, prog_->fetchRaw(i));
-    putVarint(os, trace_.numInsts);
+    varint::put(os, trace_.numInsts);
 
     const std::vector<std::uint32_t> &words = trace_.words;
     std::size_t pos = 0;
@@ -408,13 +390,13 @@ ExternalTrace::save(const std::string &path) const
         head |= taken ? 1 : 0;
         head |= mem ? 2 : 0;
         head |= indirect ? 4 : 0;
-        putVarint(os, head);
+        varint::put(os, head);
         if (mem) {
-            putVarint(os, words[pos++]); // effective address
-            putVarint(os, words[pos++]); // base version
+            varint::put(os, words[pos++]); // effective address
+            varint::put(os, words[pos++]); // base version
         }
         if (indirect)
-            putVarint(os, words[pos++]); // dynamic target
+            varint::put(os, words[pos++]); // dynamic target
     }
     file.commit();
 }

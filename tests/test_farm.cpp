@@ -192,6 +192,25 @@ TEST(GridSpec, RejectsMalformedDocuments)
     EXPECT_THROW(GridSpec::fromFile(path), JsonParseError);
 }
 
+TEST(GridSpec, RejectsImpossibleSamplingPlans)
+{
+    QuietGuard quiet;
+    GridSpec spec = smallGrid();
+    GridJob &job = spec.jobs.front();
+    job.engine = Engine::Sampled;
+    job.warmupInsts = 0;
+    job.sampling = SamplingPlan{64, 32, 8};
+    EXPECT_NO_THROW(spec.validate());
+
+    // Warmup + detail longer than the period.
+    job.sampling = SamplingPlan{64, 60, 8};
+    EXPECT_THROW(spec.validate(), FatalError);
+
+    // A plan whose naive sum wraps: 2 + (UINT64_MAX - 1) == 0 <= 10.
+    job.sampling = SamplingPlan{10, UINT64_MAX - 1, 2};
+    EXPECT_THROW(spec.validate(), FatalError);
+}
+
 // ---------------------------------------------------------------------
 // Spooling and claims
 // ---------------------------------------------------------------------

@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for the util module: logging, RNG, string helpers,
- * address-space layout.
+ * varints, address-space layout.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "util/log.hh"
 #include "util/rng.hh"
 #include "util/str.hh"
 #include "util/types.hh"
+#include "util/varint.hh"
 
 using namespace ddsim;
 
@@ -146,6 +152,73 @@ TEST(Str, EditDistanceCountsInsertsDeletesAndSubstitutions)
     EXPECT_EQ(editDistance("sampeld", "sampled"), 2u);
     EXPECT_EQ(editDistance("lve", "live"), 1u);
     EXPECT_EQ(editDistance("workers", "worker"), 1u);
+}
+
+namespace {
+
+/** Decode one varint from @p bytes; @p used gets the bytes read. */
+varint::Status
+decodeVarint(const std::string &bytes, std::uint64_t &v, std::size_t &used)
+{
+    used = 0;
+    return varint::get(
+        [&]() -> int {
+            return used < bytes.size()
+                       ? static_cast<std::uint8_t>(bytes[used++])
+                       : -1;
+        },
+        v);
+}
+
+} // namespace
+
+TEST(Varint, BoundaryValuesRoundTrip)
+{
+    const std::pair<std::uint64_t, std::size_t> cases[] = {
+        {0, 1},
+        {127, 1},
+        {128, 2},
+        {std::uint64_t{1} << 63, 10},
+        {UINT64_MAX, 10},
+    };
+    for (const auto &[value, length] : cases) {
+        std::ostringstream os;
+        varint::put(os, value);
+        const std::string bytes = os.str();
+        EXPECT_EQ(bytes.size(), length) << value;
+        std::uint64_t v = 1;
+        std::size_t used = 0;
+        EXPECT_EQ(decodeVarint(bytes, v, used), varint::Status::Ok)
+            << value;
+        EXPECT_EQ(v, value);
+        EXPECT_EQ(used, bytes.size()) << value;
+    }
+}
+
+TEST(Varint, TenthByteHoldsOnlyBit63)
+{
+    const std::string nine(9, '\x80');
+    std::uint64_t v = 0;
+    std::size_t used = 0;
+    EXPECT_EQ(decodeVarint(nine + '\x01', v, used), varint::Status::Ok);
+    EXPECT_EQ(v, std::uint64_t{1} << 63);
+    EXPECT_EQ(decodeVarint(nine + '\x02', v, used),
+              varint::Status::Overflow);
+    EXPECT_EQ(used, 10u);
+}
+
+TEST(Varint, RejectsAnEleventhByteAndTruncatedInput)
+{
+    const std::string nine(9, '\x80');
+    std::uint64_t v = 0;
+    std::size_t used = 0;
+    EXPECT_EQ(decodeVarint(nine + '\x81' + '\x00', v, used),
+              varint::Status::TooLong);
+    EXPECT_EQ(used, 10u);
+    EXPECT_EQ(decodeVarint("", v, used), varint::Status::Truncated);
+    EXPECT_EQ(decodeVarint("\x80\x80", v, used),
+              varint::Status::Truncated);
+    EXPECT_EQ(used, 2u);
 }
 
 TEST(Layout, StackRegionDetection)
