@@ -26,73 +26,13 @@ Classifier::setStaticVerdicts(std::vector<StaticVerdict> table)
     verdicts = std::move(table);
 }
 
-bool
-Classifier::decideLocal(const vm::DynInst &di, bool count)
-{
-    bool local = false;
-    switch (classifierKind) {
-      case config::ClassifierKind::None:
-        local = false;
-        break;
-      case config::ClassifierKind::Annotation:
-        local = di.inst.localHint;
-        break;
-      case config::ClassifierKind::SpBase:
-        local = isa::isStackBase(di.inst.rs);
-        break;
-      case config::ClassifierKind::Oracle:
-        local = di.stackAccess;
-        break;
-      case config::ClassifierKind::Predictor:
-        local = predictor->predictLocal(di.pcIdx, di.inst.localHint);
-        break;
-      case config::ClassifierKind::Replicate:
-        // Replicated steering is handled in the pipeline (both queues
-        // get a copy); if asked, answer with the true region.
-        local = di.stackAccess;
-        break;
-      case config::ClassifierKind::StaticHybrid:
-        // Decided verdicts steer outright; only the Ambiguous
-        // remainder pays for (and trains) the region predictor.
-        switch (verdictAt(di.pcIdx)) {
-          case StaticVerdict::Local:
-            local = true;
-            if (count)
-                ++staticDecided;
-            break;
-          case StaticVerdict::NonLocal:
-            local = false;
-            if (count)
-                ++staticDecided;
-            break;
-          case StaticVerdict::Ambiguous:
-            local = predictor->predictLocal(di.pcIdx,
-                                            di.inst.localHint);
-            break;
-        }
-        break;
-    }
-    return local;
-}
-
 Stream
 Classifier::classify(const vm::DynInst &di)
 {
     ++classified;
-    bool local = decideLocal(di, true);
+    bool local = decideLocal(di.pcIdx, di.inst, di.stackAccess, true);
     if (local)
         ++toLvaq;
-    return local ? Stream::Lvaq : Stream::Lsq;
-}
-
-Stream
-Classifier::warmClassify(const vm::DynInst &di)
-{
-    bool local = decideLocal(di, false);
-    if (predictor &&
-        (classifierKind != config::ClassifierKind::StaticHybrid ||
-         verdictAt(di.pcIdx) == StaticVerdict::Ambiguous))
-        predictor->update(di.pcIdx, di.stackAccess);
     return local ? Stream::Lvaq : Stream::Lsq;
 }
 
@@ -102,12 +42,7 @@ Classifier::verify(const vm::DynInst &di, Stream chosen)
     ++verified;
     bool actuallyLocal = di.stackAccess;
     bool chosenLocal = chosen == Stream::Lvaq;
-    // StaticHybrid trains the predictor only on Ambiguous
-    // instructions: decided pcs never consult it, and letting them
-    // write entries would pollute aliased Ambiguous slots.
-    if (predictor &&
-        (classifierKind != config::ClassifierKind::StaticHybrid ||
-         verdictAt(di.pcIdx) == StaticVerdict::Ambiguous))
+    if (trains(di.pcIdx))
         predictor->update(di.pcIdx, actuallyLocal);
     if (actuallyLocal != chosenLocal) {
         ++mispredicted;

@@ -81,10 +81,19 @@ class Classifier : public stats::Group
      * region predictor exactly as a classify()+verify() pair would,
      * but without touching any statistics. Keeps predictor state
      * tracking the instruction stream across a sampled simulation's
-     * fast-forward phases. @return the stream the access would have
-     * been steered to.
+     * fast-forward phases. Takes what vm::SkipSink::access reports of
+     * the access: @p inst at text index @p pcIdx, to the stack region
+     * iff @p stack. @return the stream the access would have been
+     * steered to.
      */
-    Stream warmClassify(const vm::DynInst &di);
+    Stream
+    warmClassify(std::uint32_t pcIdx, const isa::Inst &inst, bool stack)
+    {
+        bool local = decideLocal(pcIdx, inst, stack, false);
+        if (trains(pcIdx))
+            predictor->update(pcIdx, stack);
+        return local ? Stream::Lvaq : Stream::Lsq;
+    }
 
     config::ClassifierKind kind() const { return classifierKind; }
 
@@ -106,9 +115,73 @@ class Classifier : public stats::Group
     stats::Scalar staticDecided;
 
   private:
-    /** The steering decision shared by classify() and warmClassify();
-     *  @p count enables the static-decided statistic. */
-    bool decideLocal(const vm::DynInst &di, bool count);
+    /**
+     * The steering decision shared by classify() and warmClassify();
+     * @p count enables the static-decided statistic. Inline, so that
+     * fast-forward decides the kinds that read no predictor state
+     * (None, Annotation, SpBase, Oracle, Replicate) without a call.
+     */
+    bool
+    decideLocal(std::uint32_t pcIdx, const isa::Inst &inst, bool stack,
+                bool count)
+    {
+        bool local = false;
+        switch (classifierKind) {
+          case config::ClassifierKind::None:
+            local = false;
+            break;
+          case config::ClassifierKind::Annotation:
+            local = inst.localHint;
+            break;
+          case config::ClassifierKind::SpBase:
+            local = isa::isStackBase(inst.rs);
+            break;
+          case config::ClassifierKind::Oracle:
+            local = stack;
+            break;
+          case config::ClassifierKind::Predictor:
+            local = predictor->predictLocal(pcIdx, inst.localHint);
+            break;
+          case config::ClassifierKind::Replicate:
+            // Replicated steering is handled in the pipeline (both queues
+            // get a copy); if asked, answer with the true region.
+            local = stack;
+            break;
+          case config::ClassifierKind::StaticHybrid:
+            // Decided verdicts steer outright; only the Ambiguous
+            // remainder pays for (and trains) the region predictor.
+            switch (verdictAt(pcIdx)) {
+              case StaticVerdict::Local:
+                local = true;
+                if (count)
+                    ++staticDecided;
+                break;
+              case StaticVerdict::NonLocal:
+                local = false;
+                if (count)
+                    ++staticDecided;
+                break;
+              case StaticVerdict::Ambiguous:
+                local = predictor->predictLocal(pcIdx, inst.localHint);
+                break;
+            }
+            break;
+        }
+        return local;
+    }
+
+    /** Whether verify() and warmClassify() train the predictor on
+     *  the access at @p pcIdx. */
+    bool
+    trains(std::uint32_t pcIdx) const
+    {
+        // StaticHybrid trains the predictor only on Ambiguous
+        // instructions: decided pcs never consult it, and letting
+        // them write entries would pollute aliased Ambiguous slots.
+        return predictor &&
+               (classifierKind != config::ClassifierKind::StaticHybrid ||
+                verdictAt(pcIdx) == StaticVerdict::Ambiguous);
+    }
 
     StaticVerdict verdictAt(std::uint64_t pcIdx) const
     {

@@ -643,41 +643,70 @@ Pipeline::fetchStage()
             tracer->onFetch(curCycle);
 }
 
-std::uint64_t
-Pipeline::fastForward(std::uint64_t n)
-{
-    // Loop invariants: the warming targets and the steering policy
-    // are fixed for the run, and time stands still.
-    vm::StreamStats &ss = *stream;
-    mem::Cache &l1 = memHier->l1();
-    mem::Cache *const lvc = memHier->lvc();
-    const bool replicate =
-        lvc && cfg.classifier == config::ClassifierKind::Replicate;
-    const Cycle when = curCycle;
+namespace {
 
-    std::uint64_t k = 0;
-    for (; k < n && !executor.halted(); ++k) {
-        const vm::DynInst di = executor.step();
-        ss.record(di);
-        const isa::OpInfo &info = isa::opInfo(di.inst.op);
-        if (!info.load && !info.store)
-            continue;
+/**
+ * fastForward's sink: counts each skipped access and call, return or
+ * frame allocation into the stream statistics, trains the classifier
+ * and warms the caches, all at one fixed cycle.
+ */
+class WarmingSink final : public vm::SkipSink
+{
+  public:
+    WarmingSink(vm::StreamStats &stream, core::Classifier &classifier,
+                mem::Hierarchy &hier, bool replicate, Cycle when)
+        : stream(stream), classifier(classifier), l1(hier.l1()),
+          lvc(hier.lvc()), replicate(replicate), when(when)
+    {}
+
+    void
+    access(std::uint32_t pcIdx, const isa::Inst &inst, Addr addr,
+           bool store, bool stack) override
+    {
+        stream.countAccess(inst, store, stack);
         // The cache that finally services the access. Replicated
         // steering puts a copy in both queues and address resolution
         // cancels the wrong one, so only this cache sees it.
-        mem::Cache &actual = lvc && di.stackAccess ? *lvc : l1;
+        mem::Cache &actual = lvc && stack ? *lvc : l1;
         if (!replicate) {
             // A mispredicted access first warms the cache it was
             // steered to, then replays into the correct queue.
-            bool toLvc = memClassifier->warmClassify(di) ==
-                             core::Stream::Lvaq &&
+            bool toLvc = classifier.warmClassify(pcIdx, inst, stack) ==
+                             Stream::Lvaq &&
                          lvc;
             mem::Cache &steered = toLvc ? *lvc : l1;
             if (&steered != &actual)
-                steered.warm(di.effAddr, info.store, when);
+                steered.warm(addr, store, when);
         }
-        actual.warm(di.effAddr, info.store, when);
+        actual.warm(addr, store, when);
     }
+
+    void
+    control(const isa::Inst &inst, std::uint32_t nextPcIdx) override
+    {
+        stream.countCallReturnFrame(inst, nextPcIdx);
+    }
+
+  private:
+    vm::StreamStats &stream;
+    core::Classifier &classifier;
+    mem::Cache &l1;
+    mem::Cache *const lvc;
+    const bool replicate;
+    const Cycle when;
+};
+
+} // namespace
+
+std::uint64_t
+Pipeline::fastForward(std::uint64_t n)
+{
+    const bool replicate =
+        memHier->lvc() && cfg.classifier == config::ClassifierKind::Replicate;
+    WarmingSink sink(*stream, *memClassifier, *memHier, replicate,
+                     curCycle);
+    std::uint64_t k = executor.skip(n, sink);
+    stream->instructions += k;
     return k;
 }
 

@@ -186,12 +186,12 @@ class Pipeline : public stats::Group
     std::uint64_t fetchedCount() const { return numFetched; }
 
     /**
-     * Functional fast-forward with warming: execute up to @p n
-     * instructions from the source without timing them, accounting
-     * each to the stream statistics and, for memory operations,
-     * touching the caches and training the region predictor as the
-     * instruction would have — without advancing time or any other
-     * statistic. The sampled engine fast-forwards between windows
+     * Functional fast-forward with warming: skip up to @p n
+     * instructions of the source (InstSource::skip, no timing and no
+     * records) into a warming sink that accounts each to the stream
+     * statistics and, for memory operations, touches the caches and
+     * trains the region predictor as the instruction would have —
+     * without advancing time or any other statistic. The sampled engine fast-forwards between windows
      * this way so measured windows start with live
      * microarchitectural state instead of state frozen at the
      * previous window's end. Call it only with the pipeline drained.

@@ -39,8 +39,11 @@ class Executor final : public InstSource
      */
     DynInst step() override;
 
-    /** A loop of step() until @p n records or the halt. */
+    /** Up to @p n records, stopping at the halt. */
     std::size_t fill(DynInst *out, std::size_t n) override;
+
+    /** Up to @p n instructions into @p sink, stopping at the halt. */
+    std::uint64_t skip(std::uint64_t n, SkipSink &sink) override;
 
     /** Run at most @p maxInsts instructions; returns number executed. */
     std::uint64_t run(std::uint64_t maxInsts);
@@ -73,6 +76,14 @@ class Executor final : public InstSource
     InstSeq seq = 0;
     std::vector<Word> output;
     Addr minSp = layout::StackBase;
+
+    /**
+     * The interpreter: execute up to @p n instructions, stopping at
+     * the halt, and emit each to @p out (vm/emit.hh). step, fill and
+     * run emit records; skip emits to a sink.
+     */
+    template <class Emit>
+    std::uint64_t execute(std::uint64_t n, Emit out);
 
     void writeGpr(RegId r, Word v);
     Addr toTextIdx(Addr byteAddr) const;

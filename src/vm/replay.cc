@@ -9,8 +9,13 @@
 
 #include "vm/trace.hh"
 
+#include <algorithm>
+#include <array>
+#include <span>
+
 #include "prog/program.hh"
 #include "util/log.hh"
+#include "vm/emit.hh"
 #include "vm/executor.hh"
 
 namespace ddsim::vm {
@@ -25,35 +30,83 @@ RecordedTrace::record(const prog::Program &program,
     t.prog = &program;
 
     Executor exec(program);
-    while (!exec.halted() &&
-           (maxInsts == 0 || t.numInsts < maxInsts)) {
-        DynInst di = exec.step();
-        if (di.pcIdx & ~PcMask)
-            fatal("RecordedTrace: text index 0x%x needs more than 29 "
-                  "bits", di.pcIdx);
+    std::array<DynInst, 64> block;
+    for (;;) {
+        std::size_t want = block.size();
+        if (maxInsts != 0)
+            want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(want, maxInsts - t.numInsts));
+        std::size_t got = exec.fill(block.data(), want);
+        if (got == 0)
+            break;
+        for (const DynInst &di : std::span(block.data(), got)) {
+            if (di.pcIdx & ~PcMask)
+                fatal("RecordedTrace: text index 0x%x needs more than "
+                      "29 bits", di.pcIdx);
 
-        std::uint32_t w0 = di.pcIdx;
-        if (di.taken)
-            w0 |= TakenBit;
-        // Register-indirect jumps are the only instructions whose
-        // next pc cannot be re-derived from the program text.
-        bool indirect =
-            di.inst.op == OpCode::JR || di.inst.op == OpCode::JALR;
-        if (indirect)
-            w0 |= IndirectBit;
-        if (di.isMem())
-            w0 |= MemBit;
-        t.words.push_back(w0);
-        if (di.isMem()) {
-            t.words.push_back(di.effAddr);
-            t.words.push_back(di.baseVersion);
+            std::uint32_t w0 = di.pcIdx;
+            if (di.taken)
+                w0 |= TakenBit;
+            // Register-indirect jumps are the only instructions whose
+            // next pc cannot be re-derived from the program text.
+            bool indirect =
+                di.inst.op == OpCode::JR || di.inst.op == OpCode::JALR;
+            if (indirect)
+                w0 |= IndirectBit;
+            if (di.isMem())
+                w0 |= MemBit;
+            t.words.push_back(w0);
+            if (di.isMem()) {
+                t.words.push_back(di.effAddr);
+                t.words.push_back(di.baseVersion);
+            }
+            if (indirect)
+                t.words.push_back(di.nextPcIdx);
         }
-        if (indirect)
-            t.words.push_back(di.nextPcIdx);
-        ++t.numInsts;
+        t.numInsts += got;
     }
     t.words.shrink_to_fit();
     return t;
+}
+
+template <class Emit>
+std::uint64_t
+TraceReplay::decode(std::uint64_t n, Emit out)
+{
+    if (n > trace.numInsts - emitted)
+        n = trace.numInsts - emitted;
+    const std::uint32_t *w = trace.words.data();
+    const prog::Program &program = *trace.prog;
+    std::size_t p = pos;
+    const InstSeq first = emitted;
+    for (std::uint64_t k = 0; k < n; ++k) {
+        std::uint32_t w0 = w[p++];
+        std::uint32_t pcIdx = w0 & RecordedTrace::PcMask;
+        const isa::Inst &inst = program.fetch(pcIdx);
+        bool taken = (w0 & RecordedTrace::TakenBit) != 0;
+        bool mem = (w0 & RecordedTrace::MemBit) != 0;
+        out.begin(first + k, pcIdx, inst);
+        if (mem) {
+            out.access(pcIdx, inst, w[p], isa::isStore(inst.op), w[p + 1]);
+            p += 2;
+        }
+        std::uint32_t next;
+        if (w0 & RecordedTrace::IndirectBit)
+            next = w[p++];
+        else if (inst.op == OpCode::J || inst.op == OpCode::JAL)
+            next = inst.target;
+        else if (taken)
+            next = static_cast<std::uint32_t>(
+                static_cast<std::int64_t>(pcIdx) + 1 + inst.imm);
+        else
+            next = pcIdx + 1;
+        if (!mem && isCallReturnFrame(inst))
+            out.control(inst, next);
+        out.end(taken, next);
+    }
+    pos = p;
+    emitted += n;
+    return n;
 }
 
 DynInst
@@ -69,44 +122,13 @@ TraceReplay::step()
 std::size_t
 TraceReplay::fill(DynInst *out, std::size_t n)
 {
-    if (n > trace.numInsts - emitted)
-        n = static_cast<std::size_t>(trace.numInsts - emitted);
-    const std::uint32_t *w = trace.words.data();
-    const prog::Program &program = *trace.prog;
-    std::size_t p = pos;
-    for (std::size_t k = 0; k < n; ++k) {
-        DynInst &di = out[k];
-        std::uint32_t w0 = w[p++];
-        std::uint32_t pcIdx = w0 & RecordedTrace::PcMask;
-        di.seq = emitted + k;
-        di.pcIdx = pcIdx;
-        di.inst = program.fetch(pcIdx);
-        di.taken = (w0 & RecordedTrace::TakenBit) != 0;
-        if (w0 & RecordedTrace::MemBit) {
-            di.effAddr = w[p];
-            di.baseVersion = w[p + 1];
-            p += 2;
-            di.accessSize = isa::opInfo(di.inst.op).accessSize;
-            di.stackAccess = layout::isStackAddr(di.effAddr);
-        } else {
-            di.effAddr = 0;
-            di.baseVersion = 0;
-            di.accessSize = 0;
-            di.stackAccess = false;
-        }
-        if (w0 & RecordedTrace::IndirectBit)
-            di.nextPcIdx = w[p++];
-        else if (di.inst.op == OpCode::J || di.inst.op == OpCode::JAL)
-            di.nextPcIdx = di.inst.target;
-        else if (di.taken)
-            di.nextPcIdx = static_cast<std::uint32_t>(
-                static_cast<std::int64_t>(pcIdx) + 1 + di.inst.imm);
-        else
-            di.nextPcIdx = pcIdx + 1;
-    }
-    pos = p;
-    emitted += n;
-    return n;
+    return static_cast<std::size_t>(decode(n, RecordEmit(out)));
+}
+
+std::uint64_t
+TraceReplay::skip(std::uint64_t n, SkipSink &sink)
+{
+    return decode(n, SinkEmit(sink));
 }
 
 } // namespace ddsim::vm

@@ -23,15 +23,16 @@ StreamStats::StreamStats(stats::Group *parent)
 }
 
 void
-StreamStats::recordCallReturnFrame(const DynInst &di)
+StreamStats::countCallReturnFrame(const isa::Inst &inst,
+                                  std::uint32_t nextPcIdx)
 {
-    if (isa::isCall(di.inst.op)) {
+    if (isa::isCall(inst.op)) {
         ++calls;
         callDepth.sample(static_cast<std::uint64_t>(depth));
         ++depth;
         functionStack.push_back(curFunction);
-        curFunction = di.nextPcIdx;
-    } else if (isa::isReturn(di.inst)) {
+        curFunction = nextPcIdx;
+    } else if (isa::isReturn(inst)) {
         ++returns;
         if (depth > 0)
             --depth;
@@ -41,7 +42,7 @@ StreamStats::recordCallReturnFrame(const DynInst &di)
         }
     }
 
-    if (std::uint32_t bytes = di.frameAllocBytes()) {
+    if (std::uint32_t bytes = frameAllocBytes(inst)) {
         std::uint32_t words = bytes / 4;
         frameWords.sample(words);
         auto &maxWords = staticFrameWords[curFunction];

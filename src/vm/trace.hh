@@ -24,6 +24,18 @@ class Program;
 
 namespace ddsim::vm {
 
+/** Frame allocation (prologue "addi sp, sp, -N"): bytes, else 0. */
+inline std::uint32_t
+frameAllocBytes(const isa::Inst &inst)
+{
+    using isa::OpCode;
+    using isa::reg::sp;
+    if (inst.op == OpCode::ADDI && inst.rt == sp && inst.rs == sp &&
+        inst.imm < 0)
+        return static_cast<std::uint32_t>(-inst.imm);
+    return 0;
+}
+
 /**
  * One executed instruction. The functional executor fills in
  * everything the out-of-order timing model cannot know on its own:
@@ -51,18 +63,41 @@ struct DynInst
     bool isLoad() const { return isa::isLoad(inst.op); }
     bool isStore() const { return isa::isStore(inst.op); }
     bool isMem() const { return isLoad() || isStore(); }
+};
 
-    /** Frame allocation (prologue "addi sp, sp, -N"): bytes, else 0. */
-    std::uint32_t
-    frameAllocBytes() const
-    {
-        using isa::OpCode;
-        using isa::reg::sp;
-        if (inst.op == OpCode::ADDI && inst.rt == sp && inst.rs == sp &&
-            inst.imm < 0)
-            return static_cast<std::uint32_t>(-inst.imm);
-        return 0;
-    }
+/**
+ * True for the instructions the call, return and frame statistics
+ * read: every unconditional jump (calls, returns and plain jumps) and
+ * every frame allocation.
+ */
+inline bool
+isCallReturnFrame(const isa::Inst &inst)
+{
+    return isa::isUncondJump(inst.op) || frameAllocBytes(inst) != 0;
+}
+
+/**
+ * What InstSource::skip reports of the instructions it executes
+ * without records: each memory access, and each instruction
+ * isCallReturnFrame() selects. Everything else a skipped instruction
+ * does shows only in the source's state.
+ */
+class SkipSink
+{
+  public:
+    virtual ~SkipSink() = default;
+
+    /**
+     * A load or store: @p inst at text index @p pcIdx touched
+     * @p addr, which is in the stack region iff @p stack.
+     */
+    virtual void access(std::uint32_t pcIdx, const isa::Inst &inst,
+                        Addr addr, bool store, bool stack) = 0;
+
+    /** A call, return, jump or frame allocation that went on to
+     *  text index @p nextPcIdx. */
+    virtual void control(const isa::Inst &inst,
+                         std::uint32_t nextPcIdx) = 0;
 };
 
 /**
@@ -89,6 +124,16 @@ class InstSource
      *         ends (0 once halted; never panics).
      */
     virtual std::size_t fill(DynInst *out, std::size_t n) = 0;
+
+    /**
+     * Execute up to @p n next instructions without records or timing,
+     * reporting each memory access and each call, return, jump or
+     * frame allocation to @p sink in program order. Leaves the source
+     * exactly where n step() calls would.
+     * @return The count executed: fewer than @p n only when the stream
+     *         ends (0 once halted; never panics).
+     */
+    virtual std::uint64_t skip(std::uint64_t n, SkipSink &sink) = 0;
 };
 
 /**
@@ -153,8 +198,14 @@ class TraceReplay final : public InstSource
     bool halted() const override { return emitted == trace.numInsts; }
     DynInst step() override;
     std::size_t fill(DynInst *out, std::size_t n) override;
+    std::uint64_t skip(std::uint64_t n, SkipSink &sink) override;
 
   private:
+    /** The decode loop: up to @p n instructions to @p out
+     *  (vm/emit.hh). */
+    template <class Emit>
+    std::uint64_t decode(std::uint64_t n, Emit out);
+
     const RecordedTrace &trace;
     std::size_t pos = 0;        ///< Word cursor.
     std::uint64_t emitted = 0;  ///< Doubles as the next seq number.
@@ -171,30 +222,41 @@ class StreamStats : public stats::Group
     explicit StreamStats(stats::Group *parent);
 
     /**
-     * Feed one executed instruction. The counters are inline; calls,
-     * returns and frame allocations go out of line.
+     * Feed one executed instruction: one more instruction, then
+     * countAccess() or countCallReturnFrame(), the two rules that
+     * also count what InstSource::skip reports.
      */
     void
     record(const DynInst &di)
     {
         ++instructions;
         const isa::OpInfo &info = isa::opInfo(di.inst.op);
-        if (info.load) {
-            ++loads;
-            if (di.inst.localHint)
-                ++localLoads;
-            if (di.stackAccess)
-                ++stackLoads;
-        } else if (info.store) {
+        if (info.load || info.store)
+            countAccess(di.inst, info.store, di.stackAccess);
+        else if (isCallReturnFrame(di.inst))
+            countCallReturnFrame(di.inst, di.nextPcIdx);
+    }
+
+    /** Count a load or store of @p inst (a store iff @p store) to
+     *  the stack region iff @p stack. */
+    void
+    countAccess(const isa::Inst &inst, bool store, bool stack)
+    {
+        if (store) {
             ++stores;
-            if (di.inst.localHint)
-                ++localStores;
-            if (di.stackAccess)
-                ++stackStores;
-        } else if (info.uncondJump || di.frameAllocBytes() != 0) {
-            recordCallReturnFrame(di);
+            localStores += inst.localHint;
+            stackStores += stack;
+        } else {
+            ++loads;
+            localLoads += inst.localHint;
+            stackLoads += stack;
         }
     }
+
+    /** Call, return and frame-allocation bookkeeping for an
+     *  isCallReturnFrame() instruction that went on to @p nextPcIdx. */
+    void countCallReturnFrame(const isa::Inst &inst,
+                              std::uint32_t nextPcIdx);
 
     stats::Scalar instructions;
     stats::Scalar loads;
@@ -229,9 +291,6 @@ class StreamStats : public stats::Group
     double meanStaticFrameWords() const;
 
   private:
-    /** record()'s call, return and frame-allocation bookkeeping. */
-    void recordCallReturnFrame(const DynInst &di);
-
     std::map<std::uint32_t, std::uint32_t> staticFrameWords;
     std::uint32_t curFunction = 0;  ///< Entry pc of innermost function.
     std::vector<std::uint32_t> functionStack;

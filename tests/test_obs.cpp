@@ -346,10 +346,12 @@ TEST(ObsIntegration, TraceAgreesWithRunResult)
         prevSeq = rec.seq;
         prevCommit = rec.commitCycle;
         // Stage cycles never run backwards where known.
-        if (rec.dispatchCycle != obs::kNoCycle)
+        if (rec.dispatchCycle != obs::kNoCycle) {
             EXPECT_LE(rec.dispatchCycle, rec.commitCycle);
-        if (rec.wbCycle != obs::kNoCycle)
+        }
+        if (rec.wbCycle != obs::kNoCycle) {
             EXPECT_LE(rec.wbCycle, rec.commitCycle);
+        }
         lvaqLoads += rec.isLoad && rec.lvaqStream;
         ++count;
     }

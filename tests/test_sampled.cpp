@@ -343,19 +343,30 @@ TEST(PipelineFastForward, StopsAtHaltAndCharacterizesLikeAnExecutor)
     const std::uint64_t total = refExec.instsExecuted();
     ASSERT_GT(total, 1000u);
 
-    for (const char *name : {"opt32", "rep32", "pred32", "ann32"}) {
-        SCOPED_TRACE(name);
+    // Each config over both sources: the live executor and a replay.
+    const vm::RecordedTrace trace = vm::RecordedTrace::record(program);
+    const char *const names[] = {"opt32", "rep32", "pred32", "ann32"};
+    for (std::size_t c = 0; c < 2 * std::size(names); ++c) {
+        const char *name = names[c / 2];
+        const bool replay = c % 2 == 1;
+        SCOPED_TRACE(std::string(name) + (replay ? " replay" : " live"));
         stats::Group root(nullptr, "");
         vm::Executor exec(program);
-        cpu::Pipeline pipe(&root, sampledConfig(name), exec);
+        vm::TraceReplay rep(trace);
+        vm::InstSource &src = replay ? static_cast<vm::InstSource &>(rep)
+                                     : exec;
+        cpu::Pipeline pipe(&root, sampledConfig(name), src);
 
         EXPECT_EQ(pipe.fastForward(0), 0u);
-        EXPECT_EQ(exec.instsExecuted(), 0u);
         EXPECT_EQ(pipe.streamStats().instructions.value(), 0u);
         EXPECT_EQ(pipe.fastForward(1000), 1000u);
-        EXPECT_EQ(exec.instsExecuted(), 1000u);
-        EXPECT_EQ(pipe.fastForward(UINT64_MAX), total - 1000);
-        EXPECT_TRUE(exec.halted());
+        EXPECT_EQ(pipe.streamStats().instructions.value(), 1000u);
+        // The source stands exactly after the 1000th instruction.
+        const vm::DynInst next = src.step();
+        EXPECT_EQ(next.seq, 1000u);
+        pipe.streamStats().record(next);
+        EXPECT_EQ(pipe.fastForward(UINT64_MAX), total - 1001);
+        EXPECT_TRUE(src.halted());
         EXPECT_EQ(pipe.fastForward(5), 0u);
 
         // Time stands still and only the stream statistics count.

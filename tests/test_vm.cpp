@@ -3,8 +3,8 @@
  * Functional executor tests: memory semantics, arithmetic, control
  * flow, calling convention, DynInst annotations (effective address,
  * oracle stack classification, base-register versions), block fill
- * against step() for both instruction sources, and the StreamStats
- * accumulator.
+ * and skip against step() for both instruction sources, and the
+ * StreamStats accumulator.
  */
 
 #include <gtest/gtest.h>
@@ -329,7 +329,7 @@ TEST(Executor, DynInstMemAnnotations)
     Executor exec(p);
 
     DynInst adj = exec.step();
-    EXPECT_EQ(adj.frameAllocBytes(), 16u);
+    EXPECT_EQ(frameAllocBytes(adj.inst), 16u);
 
     DynInst st = exec.step();
     EXPECT_TRUE(st.isStore());
@@ -494,6 +494,115 @@ expectFillMatchesStep(Make make)
     EXPECT_TRUE(past->halted());
 }
 
+/** One event a SkipSink saw, or one that a stepped record implies. */
+struct SkipEvent
+{
+    bool access = false;        ///< Else a call, return, jump or frame.
+    std::uint32_t pcIdx = 0;
+    isa::Inst inst;
+    Addr addr = 0;
+    bool store = false;
+    bool stack = false;
+    std::uint32_t nextPcIdx = 0;
+
+    bool operator==(const SkipEvent &) const = default;
+};
+
+class RecordingSink final : public SkipSink
+{
+  public:
+    void
+    access(std::uint32_t pcIdx, const isa::Inst &inst, Addr addr,
+           bool store, bool stack) override
+    {
+        events.push_back({true, pcIdx, inst, addr, store, stack, 0});
+    }
+
+    void
+    control(const isa::Inst &inst, std::uint32_t nextPcIdx) override
+    {
+        events.push_back({false, 0, inst, 0, false, false, nextPcIdx});
+    }
+
+    std::vector<SkipEvent> events;
+};
+
+/**
+ * Skip @p n instructions of @p src and expect the sink to see exactly
+ * the events records want[at, at + n) imply: each load or store, and
+ * each unconditional jump or frame allocation.
+ */
+template <class Source>
+void
+expectSkip(Source &src, std::uint64_t n, const std::vector<DynInst> &want,
+           std::size_t at)
+{
+    std::vector<SkipEvent> implied;
+    for (std::size_t k = at; k < at + n; ++k) {
+        const DynInst &di = want[k];
+        if (di.isMem())
+            implied.push_back({true, di.pcIdx, di.inst, di.effAddr,
+                               di.isStore(), di.stackAccess, 0});
+        else if (isa::isUncondJump(di.inst.op) ||
+                 frameAllocBytes(di.inst) != 0)
+            implied.push_back(
+                {false, 0, di.inst, 0, false, false, di.nextPcIdx});
+    }
+    RecordingSink sink;
+    ASSERT_EQ(src.skip(n, sink), n);
+    ASSERT_EQ(sink.events.size(), implied.size());
+    for (std::size_t i = 0; i < implied.size(); ++i)
+        EXPECT_TRUE(sink.events[i] == implied[i])
+            << "event " << i << " of a skip of " << n << " at " << at;
+}
+
+/**
+ * Drain a source built by @p make with skips of varied size
+ * (including 0 and 1), each followed by stepped records that must
+ * equal a pure stepper's field for field, seq and baseVersion
+ * included. Then a skip that ends exactly at halt, skips past the
+ * end, and a fresh source skipped past its end in one call.
+ */
+template <class Make>
+void
+expectSkipMatchesStep(Make make)
+{
+    auto stepper = make();
+    std::vector<DynInst> want;
+    while (!stepper->halted())
+        want.push_back(stepper->step());
+    ASSERT_GT(want.size(), 1000u);
+
+    auto skipper = make();
+    const std::uint64_t skips[] = {0, 1, 257, 3, 0, 64, 1, 1000};
+    std::size_t at = 0;
+    for (std::size_t i = 0; at + 1000 + 16 < want.size(); ++i) {
+        std::uint64_t n = skips[i % std::size(skips)];
+        expectSkip(*skipper, n, want, at);
+        at += n;
+        for (int k = 0; k < 16; ++k)
+            expectSameRecord(skipper->step(), want[at++]);
+        EXPECT_FALSE(skipper->halted());
+    }
+
+    // A skip that ends exactly at halt, then skips past the end.
+    expectSkip(*skipper, want.size() - at, want, at);
+    EXPECT_TRUE(skipper->halted());
+    RecordingSink none;
+    EXPECT_EQ(skipper->skip(4, none), 0u);
+    EXPECT_EQ(skipper->skip(0, none), 0u);
+    EXPECT_TRUE(none.events.empty());
+
+    // A skip asked for more than is left executes what is left.
+    auto past = make();
+    RecordingSink all;
+    ASSERT_EQ(past->skip(want.size() + 5, all), want.size());
+    EXPECT_TRUE(past->halted());
+    auto again = make();
+    expectSkip(*again, want.size(), want, 0);
+    EXPECT_TRUE(again->halted());
+}
+
 Program
 fillProgram()
 {
@@ -515,6 +624,41 @@ TEST(InstSource, TraceReplayFillEqualsStep)
     Program p = fillProgram();
     const RecordedTrace trace = RecordedTrace::record(p);
     expectFillMatchesStep(
+        [&] { return std::make_unique<TraceReplay>(trace); });
+}
+
+TEST(InstSource, ExecutorSkipEqualsStep)
+{
+    Program p = fillProgram();
+    expectSkipMatchesStep([&] { return std::make_unique<Executor>(p); });
+
+    // The architectural state a skip leaves equals the stepper's.
+    Executor stepped(p), skipped(p);
+    RecordingSink sink;
+    for (std::uint64_t n : {0u, 1u, 700u, 5000u}) {
+        for (std::uint64_t k = 0; k < n; ++k)
+            stepped.step();
+        ASSERT_EQ(skipped.skip(n, sink), n);
+        EXPECT_EQ(skipped.instsExecuted(), stepped.instsExecuted());
+        EXPECT_EQ(skipped.pcIndex(), stepped.pcIndex());
+        EXPECT_EQ(skipped.stackLowWater(), stepped.stackLowWater());
+        EXPECT_EQ(skipped.printed(), stepped.printed());
+        for (RegId r = 0; r < NumGprs; ++r)
+            EXPECT_EQ(skipped.gpr(r), stepped.gpr(r)) << "r" << int(r);
+    }
+    EXPECT_LT(skipped.stackLowWater(), layout::StackBase);
+    skipped.skip(UINT64_MAX, sink);
+    while (!stepped.halted())
+        stepped.step();
+    EXPECT_EQ(skipped.instsExecuted(), stepped.instsExecuted());
+    EXPECT_EQ(skipped.printed(), stepped.printed());
+}
+
+TEST(InstSource, TraceReplaySkipEqualsStep)
+{
+    Program p = fillProgram();
+    const RecordedTrace trace = RecordedTrace::record(p);
+    expectSkipMatchesStep(
         [&] { return std::make_unique<TraceReplay>(trace); });
 }
 

@@ -57,7 +57,11 @@ flat_path, workload, out_path = sys.argv[1:4]
 P = r"ddsim::cpu::Pipeline::"
 LAYERS = [
     ("front end", [r"^ddsim::vm::", r"^ddsim::isa::",
-                   r"^ddsim::prog::Program::fetch", P + r"fastForward\("]),
+                   # The sources' loop templates print their return type.
+                   r"^[\w ]+ ddsim::vm::(Executor::execute|"
+                   r"TraceReplay::decode)<",
+                   r"^ddsim::prog::Program::fetch", P + r"fastForward\(",
+                   r"^ddsim::cpu::\(anonymous namespace\)::WarmingSink::"]),
     ("fetch/dispatch", [P + r"(fetchStage|dispatchStage|registerConsumers|"
                         r"decoded|InstRing::)",
                         r"^ddsim::cpu::(Rob|RenameTable)::",
