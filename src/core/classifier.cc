@@ -26,31 +26,6 @@ Classifier::setStaticVerdicts(std::vector<StaticVerdict> table)
     verdicts = std::move(table);
 }
 
-Stream
-Classifier::classify(const vm::DynInst &di)
-{
-    ++classified;
-    bool local = decideLocal(di.pcIdx, di.inst, di.stackAccess, true);
-    if (local)
-        ++toLvaq;
-    return local ? Stream::Lvaq : Stream::Lsq;
-}
-
-bool
-Classifier::verify(const vm::DynInst &di, Stream chosen)
-{
-    ++verified;
-    bool actuallyLocal = di.stackAccess;
-    bool chosenLocal = chosen == Stream::Lvaq;
-    if (trains(di.pcIdx))
-        predictor->update(di.pcIdx, actuallyLocal);
-    if (actuallyLocal != chosenLocal) {
-        ++mispredicted;
-        return false;
-    }
-    return true;
-}
-
 double
 Classifier::accuracy() const
 {

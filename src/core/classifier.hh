@@ -65,7 +65,15 @@ class Classifier : public stats::Group
      * effective address the front end already computed, standing in
      * for a perfectly annotated binary).
      */
-    Stream classify(const vm::DynInst &di);
+    Stream
+    classify(const vm::DynInst &di)
+    {
+        ++classified;
+        bool local = decideLocal(di.pcIdx, di.inst, di.stackAccess, true);
+        if (local)
+            ++toLvaq;
+        return local ? Stream::Lvaq : Stream::Lsq;
+    }
 
     /**
      * Resolution-time verification: once the effective address is
@@ -74,7 +82,20 @@ class Classifier : public stats::Group
      *
      * @return true if the access was steered to the right queue.
      */
-    bool verify(const vm::DynInst &di, Stream chosen);
+    bool
+    verify(const vm::DynInst &di, Stream chosen)
+    {
+        ++verified;
+        bool actuallyLocal = di.stackAccess;
+        bool chosenLocal = chosen == Stream::Lvaq;
+        if (trains(di.pcIdx))
+            predictor->update(di.pcIdx, actuallyLocal);
+        if (actuallyLocal != chosenLocal) {
+            ++mispredicted;
+            return false;
+        }
+        return true;
+    }
 
     /**
      * Functional warming: make the steering decision and train the

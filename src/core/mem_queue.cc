@@ -1,6 +1,7 @@
 #include "core/mem_queue.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/age_bits.hh"
 #include "core/fast_forward.hh"
@@ -48,83 +49,42 @@ MemQueue::MemQueue(stats::Group *parent, const std::string &name,
 {
     if (size < 1)
         panic("memory queue needs at least one entry");
-    actBits.assign((static_cast<std::size_t>(size) + 63) / 64, 0);
-    ffScratch.reserve(static_cast<std::size_t>(size));
+    std::size_t words = (static_cast<std::size_t>(size) + 63) / 64;
+    actBits.assign(words, 0);
+    storeBits.assign(words, 0);
+    barrierBits.assign(words, 0);
+    storeSpans.resize(static_cast<std::size_t>(size));
 }
 
 int
 MemQueue::positionOf(int slot) const
 {
-    return (slot - head + capacity) % capacity;
-}
-
-void
-MemQueue::indexStore(const QueueEntry &e, int slot)
-{
-    if (e.size == 0)
-        return; // A zero-width access overlaps nothing.
-    Addr lo = e.addr >> kChunkShift;
-    Addr hi = (e.addr + e.size - 1) >> kChunkShift;
-    for (Addr c = lo;; ++c) {
-        chunkStores[c].push_back(slot);
-        if (c == hi)
-            break;
-    }
-}
-
-void
-MemQueue::unindexStore(const QueueEntry &e, int slot)
-{
-    if (!e.addrKnown || e.size == 0)
-        return;
-    Addr lo = e.addr >> kChunkShift;
-    Addr hi = (e.addr + e.size - 1) >> kChunkShift;
-    for (Addr c = lo;; ++c) {
-        auto it = chunkStores.find(c);
-        if (it != chunkStores.end()) {
-            auto &v = it->second;
-            auto pos = std::find(v.begin(), v.end(), slot);
-            if (pos != v.end()) {
-                *pos = v.back(); // Order-free: lookups pick by seq.
-                v.pop_back();
-            }
-            // The node and the vector's capacity are kept: the next
-            // store to this chunk reuses them instead of paying a
-            // map-node plus vector allocation (this pair was the
-            // hottest malloc/free site in the whole simulator).
-        }
-        if (c == hi)
-            break;
-    }
+    int pos = slot - head;
+    return pos < 0 ? pos + capacity : pos;
 }
 
 int
-MemQueue::youngestOlderStore(const QueueEntry &load) const
+MemQueue::youngestOlderStore(int slot) const
 {
+    const QueueEntry &load = entries[static_cast<std::size_t>(slot)];
     if (load.size == 0)
-        return -1;
-    int best = -1;
-    InstSeq bestSeq = 0;
-    Addr lo = load.addr >> kChunkShift;
-    Addr hi = (load.addr + load.size - 1) >> kChunkShift;
-    for (Addr c = lo;; ++c) {
-        auto it = chunkStores.find(c);
-        if (it != chunkStores.end()) {
-            for (int slot : it->second) {
-                const QueueEntry &st =
-                    entries[static_cast<std::size_t>(slot)];
-                if (st.seq >= load.seq || !st.overlaps(load))
-                    continue;
-                if (best < 0 || st.seq > bestSeq) {
-                    best = slot;
-                    bestSeq = st.seq;
-                }
+        return -1; // A zero-width access overlaps nothing.
+    Addr lo = load.addr;
+    Addr hi = load.addr + load.size;
+    // Walk the older stores back from the load's slot to the head: the
+    // first overlap is the youngest older store.
+    int found = -1;
+    forEachAgeOrderedYoungestFirst(
+        storeBits, head, positionOf(slot), capacity, [&](int store) {
+            const StoreSpan &span =
+                storeSpans[static_cast<std::size_t>(store)];
+            if (span.lo < hi && lo < span.hi) {
+                found = store;
+                return false;
             }
-        }
-        if (c == hi)
-            break;
-    }
-    return best;
+            return true;
+        });
+    return found;
 }
 
 int
@@ -136,7 +96,8 @@ MemQueue::allocate(InstSeq seq, int robIdx, bool isLoad,
         panic("MemQueue::allocate on a full queue");
 
     int slot = tail;
-    tail = (tail + 1) % capacity;
+    if (++tail == capacity)
+        tail = 0;
     ++count;
     ++allocated;
 
@@ -166,25 +127,26 @@ MemQueue::allocate(InstSeq seq, int robIdx, bool isLoad,
     if (isLoad) {
         ++loadsTotal;
         if (policy.fastForward) {
-            // Candidates: resident stores only, youngest first (the
-            // original scan walked all older slots but skipped
-            // non-stores, so the result is identical).
-            ffScratch.clear();
-            for (auto it = storesByAge.rbegin();
-                 it != storesByAge.rend(); ++it)
-                ffScratch.push_back(it->first);
-            int match = findFastForwardStore(entries, ffScratch, e);
+            // Candidates: resident, non-cancelled stores, youngest
+            // first (the original scan walked all older slots but
+            // skipped the others, so the result is identical).
+            auto olderStores = [this](auto &&visit) {
+                forEachAgeOrderedYoungestFirst(storeBits, head, count,
+                                               capacity, visit);
+            };
+            int match = findFastForwardStore(entries, olderStores, e);
             if (match >= 0) {
                 e.fastFwdSlot = match;
                 e.fastFwdSeq =
                     entries[static_cast<std::size_t>(match)].seq;
-                setAct(slot);
+                setAgeBit(actBits, slot);
             }
         }
     } else {
         ++storesTotal;
-        noAddrStores.emplace_back(slot, seq);
-        storesByAge.emplace_back(slot, seq);
+        storeSpans[static_cast<std::size_t>(slot)] = StoreSpan{};
+        setAgeBit(storeBits, slot);
+        setAgeBit(barrierBits, slot);
     }
     return slot;
 }
@@ -195,10 +157,8 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
     QueueEntry &e = entries[static_cast<std::size_t>(slot)];
     if (!e.valid)
         panic("setAddress on an invalid queue slot");
-    if (e.isStore && e.addrKnown) {
-        unindexStore(e, slot); // Re-addressing: replace the old entry.
-        bumpStoreEpoch();
-    }
+    if (e.isStore && e.addrKnown)
+        bumpStoreEpoch(); // Re-addressing moves the store's bytes.
     e.olderStoreEpoch = 0; // A load's own address keys its search.
     e.addr = addr;
     e.addrKnown = true;
@@ -207,10 +167,15 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
         e.missteered = true;
         ++missteeredAccesses;
     }
-    if (e.isStore && !e.cancelled)
-        indexStore(e, slot);
+    if (e.isStore && !e.cancelled) {
+        if (e.size != 0)
+            storeSpans[static_cast<std::size_t>(slot)] = {addr,
+                                                           addr + e.size};
+        // A new address blocks younger loads until it arrives.
+        setAgeBit(barrierBits, slot);
+    }
     if (e.isLoad && !e.cancelled && !e.issued && !e.completed)
-        setAct(slot);
+        setAgeBit(actBits, slot);
     extEvent = std::min(extEvent, when);
 }
 
@@ -235,11 +200,11 @@ MemQueue::cancel(int slot)
         return;
     e.cancelled = true;
     ++cancelledReplicas;
-    clearAct(slot);
-    if (e.isStore && e.addrKnown) {
-        unindexStore(e, slot);
+    clearAgeBit(actBits, slot);
+    clearAgeBit(storeBits, slot);
+    clearAgeBit(barrierBits, slot);
+    if (e.isStore && e.addrKnown)
         bumpStoreEpoch();
-    }
     extEvent = 0; // Barrier and fast-forward waiters re-evaluate.
 }
 
@@ -332,7 +297,7 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
     // answer holds until a store is cancelled or re-addressed.
     int pos = positionOf(slot);
     if (e.olderStoreEpoch != storeEpoch) {
-        e.olderStoreSlot = youngestOlderStore(e);
+        e.olderStoreSlot = youngestOlderStore(slot);
         if (e.olderStoreSlot >= 0)
             e.olderStoreSeq =
                 entries[static_cast<std::size_t>(e.olderStoreSlot)].seq;
@@ -397,30 +362,34 @@ MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
         occupancyHist.sample(static_cast<std::uint64_t>(count));
         lastSampled = now;
     }
-
-    // Advance the disambiguation barrier: drop released, cancelled
-    // and address-resolved stores from the front. An address, once
-    // known, never becomes unknown again, so popping is final. The
-    // surviving front is the oldest store whose address is unknown as
-    // of this cycle; exactly the loads younger than it are blocked —
-    // the same set the original progressive walk blocked.
-    while (!noAddrStores.empty()) {
-        auto [slot, seq] = noAddrStores.front();
-        const QueueEntry &st = entries[static_cast<std::size_t>(slot)];
-        if (st.valid && st.seq == seq && !st.cancelled &&
-            (!st.addrKnown || st.addrKnownAt > now))
-            break;
-        noAddrStores.pop_front();
+    // No load can act: nothing below would issue, forward, stall or
+    // schedule an event, so report the empty summary a full tick
+    // would.
+    if (std::none_of(actBits.begin(), actBits.end(),
+                     [](std::uint64_t w) { return w != 0; })) {
+        if (infoOut)
+            *infoOut = TickInfo{};
+        return;
     }
+
+    // The disambiguation barrier: the oldest tracked store whose
+    // address is unknown as of this cycle; exactly the loads younger
+    // than it are blocked. Stores found resolved leave the bitmap (an
+    // address, once arrived, changes only through setAddress, which
+    // puts the store back), so each store is passed over once.
     InstSeq barrierSeq = ~InstSeq{0};
     Cycle barrierEvent = kNoEvent;
-    if (!noAddrStores.empty()) {
-        auto [slot, seq] = noAddrStores.front();
+    forEachAgeOrdered(barrierBits, head, count, capacity, [&](int slot) {
         const QueueEntry &st = entries[static_cast<std::size_t>(slot)];
-        barrierSeq = seq;
+        if (st.addrKnown && st.addrKnownAt <= now) {
+            clearAgeBit(barrierBits, slot);
+            return true;
+        }
+        barrierSeq = st.seq;
         if (st.addrKnown) // In flight: resolves at a known cycle.
             barrierEvent = st.addrKnownAt;
-    }
+        return false;
+    });
 
     // Visit the loads that can act oldest-first, preserving the port
     // request order of the original walk over every resident load.
@@ -430,7 +399,7 @@ MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
         if (processLoad(e, slot, now, barrierSeq, barrierEvent,
                         completions, info) ||
             (!e.addrKnown && e.fastFwdSlot < 0))
-            clearAct(slot);
+            clearAgeBit(actBits, slot);
         return true;
     });
     if (infoOut)
@@ -496,17 +465,22 @@ MemQueue::release(int slot)
     if (slot != head)
         panic("queue entries must be released oldest-first "
               "(slot %d, head %d)", slot, head);
-    if (e.isStore) {
-        if (!e.cancelled)
-            unindexStore(e, slot);
-        // Releases run oldest-first, so this store is the front.
-        if (!storesByAge.empty() && storesByAge.front().first == slot)
-            storesByAge.pop_front();
-    }
-    clearAct(slot);
+    clearAgeBit(actBits, slot);
+    clearAgeBit(storeBits, slot);
+    clearAgeBit(barrierBits, slot);
     e.valid = false;
-    head = (head + 1) % capacity;
+    if (++head == capacity)
+        head = 0;
     --count;
+}
+
+int
+MemQueue::barrierStores() const
+{
+    int n = 0;
+    for (std::uint64_t w : barrierBits)
+        n += std::popcount(w);
+    return n;
 }
 
 double

@@ -16,23 +16,25 @@
  * optimizations: fast data forwarding (offset matching before address
  * generation) and access combining in the port scheduler.
  *
- * The implementation is indexed rather than scanned: tick() visits
- * only the loads that can act (an address has arrived, or a
- * fast-forward match is pending), oldest first through an age-ordered
- * bitmap; the conservative disambiguation barrier is the head of an
- * age-ordered deque of stores with still-unknown addresses, and the
- * youngest-older-store search runs against a per-8-byte-chunk store
- * index instead of re-walking all older entries per load per cycle.
- * The timing model is bit-identical to the original full scan.
+ * The implementation is indexed rather than scanned. Per-slot bitmaps
+ * over the queue's own ring, walked in age order from the head, hold
+ * the loads that can act (an address has arrived, or a fast-forward
+ * match is pending), the resident stores (the fast-forward offset
+ * match walks them youngest first) and the stores the conservative
+ * disambiguation barrier still tracks (the oldest one whose address
+ * is unknown is the barrier). A tick with no load that can act
+ * returns after the port reset and the occupancy sample. A load past
+ * the barrier finds its youngest older overlapping store once, by
+ * walking the store bitmap back from its own slot against a dense
+ * per-slot array of store byte ranges, and keeps the answer until a
+ * store is cancelled or re-addressed. The timing model is bit-identical to the original
+ * full scan.
  */
 
 #ifndef DDSIM_CORE_MEM_QUEUE_HH_
 #define DDSIM_CORE_MEM_QUEUE_HH_
 
-#include <deque>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/combining.hh"
@@ -177,6 +179,14 @@ class MemQueue : public stats::Group
         return servedInfo[static_cast<std::size_t>(slot)];
     }
 
+    /**
+     * Stores the disambiguation barrier still tracks: resident, not
+     * cancelled and not yet found resolved by a tick. At most
+     * occupancy(), however many ticks return early (exposed for
+     * tests).
+     */
+    int barrierStores() const;
+
     /** Fraction of loads satisfied in-queue (paper: 50-90% for LVAQ). */
     double queueSatisfiedFrac() const;
 
@@ -196,9 +206,6 @@ class MemQueue : public stats::Group
     stats::Histogram occupancyHist;
 
   private:
-    /** Address chunks indexing the store-overlap search. */
-    static constexpr unsigned kChunkShift = 3;
-
     int capacity;
     mem::Cache *cache;
     mem::Cache *altCache;
@@ -222,54 +229,42 @@ class MemQueue : public stats::Group
      */
     std::vector<std::uint64_t> actBits;
     /**
-     * Resident stores whose address was unknown as of the last tick,
-     * in age order. The front (after popping resolved/cancelled/stale
-     * heads) is the conservative disambiguation barrier: a load is
-     * blocked iff it is younger than the front store.
+     * Per-slot bits of the resident, non-cancelled stores, walked
+     * youngest first by the store search and by the fast-forward
+     * offset match at allocate.
      */
-    std::deque<std::pair<int, InstSeq>> noAddrStores;
+    std::vector<std::uint64_t> storeBits;
     /**
-     * All resident stores in age order (cancelled ones included and
-     * skipped at use), for the fast-forward offset match at allocate.
+     * The stores the disambiguation barrier still tracks: storeBits
+     * minus the stores a tick has found resolved since their last
+     * setAddress. The oldest one whose address is unknown as of this
+     * cycle is the barrier.
      */
-    std::deque<std::pair<int, InstSeq>> storesByAge;
+    std::vector<std::uint64_t> barrierBits;
+    /** A store's bytes [lo, hi) for the store search. */
+    struct StoreSpan
+    {
+        Addr lo = 0;
+        Addr hi = 0;
+    };
     /**
-     * Known-address, non-cancelled resident stores bucketed by the
-     * 8-byte chunks their bytes touch (an access spans at most two).
-     * Maintained eagerly by setAddress/cancel/release.
+     * Parallel to entries: the bytes of each store whose address is
+     * known, or the empty span {0, 0}, which overlaps nothing, while
+     * it has no address or if its size is zero. The store search reads
+     * it at each store in storeBits.
      */
-    std::unordered_map<Addr, std::vector<int>> chunkStores;
+    std::vector<StoreSpan> storeSpans;
     /**
-     * Moves whenever an indexed store is cancelled or re-addressed:
+     * Moves whenever an addressed store is cancelled or re-addressed:
      * the only events that change an already-searched load's youngest
      * older store (QueueEntry::olderStoreSlot). Never 0.
      */
     std::uint32_t storeEpoch = 1;
-    /** Scratch for the fast-forward candidate list (no per-call alloc). */
-    std::vector<int> ffScratch;
-
     /** Earliest effect cycle of external pushes since last taken. */
     Cycle extEvent = kNoEvent;
 
     int positionOf(int slot) const;
 
-    void
-    setAct(int slot)
-    {
-        actBits[static_cast<std::size_t>(slot) >> 6] |=
-            std::uint64_t{1} << (slot & 63);
-    }
-    void
-    clearAct(int slot)
-    {
-        actBits[static_cast<std::size_t>(slot) >> 6] &=
-            ~(std::uint64_t{1} << (slot & 63));
-    }
-
-    /** Enter @p slot (a known-address store) into chunkStores. */
-    void indexStore(const QueueEntry &e, int slot);
-    /** Remove @p slot from chunkStores if present. */
-    void unindexStore(const QueueEntry &e, int slot);
     /** Invalidate every load's youngest-older-store answer. */
     void
     bumpStoreEpoch()
@@ -278,11 +273,11 @@ class MemQueue : public stats::Group
             storeEpoch = 1;
     }
     /**
-     * Youngest store older than @p load overlapping its bytes, or -1.
-     * Pre-condition (guaranteed by the disambiguation barrier): every
-     * older store's address is known.
+     * Youngest store older than the load in @p slot overlapping its
+     * bytes, or -1. Pre-condition (guaranteed by the disambiguation
+     * barrier): every older store's address is known.
      */
-    int youngestOlderStore(const QueueEntry &load) const;
+    int youngestOlderStore(int slot) const;
 
     /**
      * One load's per-cycle processing (the body of the original full

@@ -36,7 +36,7 @@ struct QueueEntry
      * A load's youngest older overlapping store as (slot, seq), -1 if
      * none: searched once the load passes the disambiguation barrier
      * and reused while olderStoreEpoch equals the queue's store epoch,
-     * which moves only when an indexed store is cancelled or given a
+     * which moves only when an addressed store is cancelled or given a
      * new address. A store found here that has left the queue had
      * committed (older stores leave in order): the cache holds its
      * value.
@@ -74,14 +74,6 @@ struct QueueEntry
      * block disambiguation, and release normally.
      */
     bool cancelled = false;
-
-    /** Bytes [addr, addr+size) overlap with @p other's range? */
-    bool
-    overlaps(const QueueEntry &other) const
-    {
-        return addr < other.addr + other.size &&
-               other.addr < addr + size;
-    }
 
     /** Does @p other (a store) fully cover this entry's bytes? */
     bool

@@ -38,7 +38,9 @@ Pipeline::Pipeline(stats::Group *parent,
       cfg(cfg),
       executor(src),
       fuPool(cfg),
-      rob(cfg.robSize)
+      rob(cfg.robSize),
+      readyEvents(cfg.robSize),
+      storeDataEvents(cfg.robSize)
 {
     cfg.validate();
     memHier = std::make_unique<mem::Hierarchy>(this, cfg);
@@ -77,6 +79,7 @@ Pipeline::Pipeline(stats::Group *parent,
         (static_cast<std::size_t>(cfg.robSize) + 63) / 64, 0);
     completions.reserve(static_cast<std::size_t>(cfg.lsqSize) +
                         static_cast<std::size_t>(cfg.lvaqSize));
+    sourceHalted = executor.halted();
 }
 
 core::MemQueue &
@@ -99,17 +102,6 @@ Pipeline::srcReady(const ProducerTag &tag) const
     if (!p.valid || p.seq != tag.seq)
         return true; // Producer already committed.
     return p.completed && p.readyAt <= curCycle;
-}
-
-Cycle
-Pipeline::srcReadyAt(const ProducerTag &tag, Cycle fallback) const
-{
-    if (!tag.valid())
-        return fallback;
-    const RobEntry &p = rob[tag.robIdx];
-    if (!p.valid || p.seq != tag.seq)
-        return fallback;
-    return p.readyAt;
 }
 
 // ---- Commit ---------------------------------------------------------------
@@ -474,15 +466,8 @@ Pipeline::visitIssuable(int idx, int &issued)
             clearIssuable(idx);
             return true;
         }
-        bool ready = true;
-        for (int s = 0; s < e.numSrc; ++s) {
-            if (!srcReady(e.src[s])) {
-                ready = false;
-                break;
-            }
-        }
-        if (!ready)
-            return true;
+        // Every source is ready: a non-memory entry joins the scan set
+        // only through its ready event (see issueStage).
         const isa::OpInfo &info = *e.info;
         if (!fuPool.tryIssue(info.fu, curCycle, info.latency,
                              info.pipelined))
@@ -516,7 +501,13 @@ Pipeline::issueStage()
     });
 
     // Entries whose issue-relevant sources are all ready (as of this
-    // cycle) join the scan set; they stay in it until they act.
+    // cycle) join the scan set; they stay in it until they act. A ready
+    // event fires at eligibleAt, which is at or after every issue-edge
+    // producer's readyAt, and a completed producer's readyAt never
+    // changes: so a non-memory entry in the set has every source ready
+    // and visitIssuable does not test them again. (The memory stage
+    // also adds loads completed by fast forwarding; the memory path
+    // keeps its base-register test.)
     readyEvents.drainUpTo(curCycle, [this](int idx, InstSeq seq) {
         const RobEntry &e = rob[idx];
         if (e.valid && e.seq == seq)
@@ -634,6 +625,7 @@ Pipeline::fetchStage()
     if (n == 0)
         return;
     std::size_t k = fetchQueue.fill(executor, n);
+    sourceHalted = executor.halted();
     for (std::size_t i = k; i > 0; --i)
         stream->record(fetchQueue.fromBack(i));
     numFetched += k;
@@ -706,6 +698,7 @@ Pipeline::fastForward(std::uint64_t n)
     WarmingSink sink(*stream, *memClassifier, *memHier, replicate,
                      curCycle);
     std::uint64_t k = executor.skip(n, sink);
+    sourceHalted = executor.halted();
     stream->instructions += k;
     return k;
 }

@@ -16,7 +16,6 @@
 #define DDSIM_CPU_PIPELINE_HH_
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <chrono>
 #include <cstddef>
@@ -26,8 +25,10 @@
 #include <vector>
 
 #include "config/machine_config.hh"
+#include "core/age_bits.hh"
 #include "core/classifier.hh"
 #include "core/mem_queue.hh"
+#include "cpu/event_ring.hh"
 #include "cpu/fu_pool.hh"
 #include "cpu/rename.hh"
 #include "cpu/rob.hh"
@@ -352,12 +353,18 @@ class Pipeline : public stats::Group
 
     std::uint64_t fetchLimit = 0; ///< 0 = unlimited.
     std::uint64_t numFetched = 0;
+    /**
+     * executor.halted() as of the last fill or skip: only those two
+     * calls advance the source while the pipeline runs, so the run
+     * loops read this instead of a virtual call every cycle.
+     */
+    bool sourceHalted = false;
 
     /** True when fetch has reached the stream's end or the cap. */
     bool
     streamDone() const
     {
-        return executor.halted() ||
+        return sourceHalted ||
                (fetchLimit != 0 && numFetched >= fetchLimit);
     }
 
@@ -385,98 +392,6 @@ class Pipeline : public stats::Group
     [[noreturn]] void raiseDeadlock();
 
     // ---- Event-driven scheduling core ------------------------------
-    /**
-     * Cycle-bucketed event queue (a timing wheel): push (robIdx, seq)
-     * at a cycle, drain everything due at or before `now`. Same-cycle
-     * events are mutually independent (they set bits or push store
-     * data for distinct entries), so bucket order is free and the
-     * wheel replaces a priority queue without any semantic change.
-     * Events land within a few hundred cycles (bounded by memory
-     * latency); the rare farther ones overflow into a side list.
-     */
-    class EventRing
-    {
-      public:
-        void push(Cycle c, int idx, InstSeq seq)
-        {
-            if (c - base < Span) {
-                buckets[c & (Span - 1)].push_back({idx, seq});
-                ++total;
-            } else {
-                far.push_back({c, idx, seq});
-            }
-        }
-
-        /** Earliest pending event cycle, or core::kNoEvent. */
-        Cycle nextEvent() const
-        {
-            Cycle best = core::kNoEvent;
-            if (total != 0) {
-                for (Cycle c = base; c < base + Span; ++c) {
-                    if (!buckets[c & (Span - 1)].empty()) {
-                        best = c;
-                        break;
-                    }
-                }
-            }
-            for (const FarEvent &e : far)
-                best = std::min(best, e.cycle);
-            return best;
-        }
-
-        /** Invoke f(idx, seq) for every event due at cycle <= now. */
-        template <class F>
-        void drainUpTo(Cycle now, F &&f)
-        {
-            while (base <= now) {
-                if (total == 0 && far.empty()) {
-                    base = now + 1;
-                    break;
-                }
-                auto &b = buckets[base & (Span - 1)];
-                for (const Event &e : b)
-                    f(e.idx, e.seq);
-                total -= b.size();
-                b.clear();
-                ++base;
-            }
-            if (!far.empty()) {
-                for (std::size_t i = 0; i < far.size();) {
-                    FarEvent &e = far[i];
-                    if (e.cycle <= now) {
-                        f(e.idx, e.seq);
-                        e = far.back();
-                        far.pop_back();
-                    } else if (e.cycle - base < Span) {
-                        push(e.cycle, e.idx, e.seq);
-                        far[i] = far.back();
-                        far.pop_back();
-                    } else {
-                        ++i;
-                    }
-                }
-            }
-        }
-
-      private:
-        static constexpr Cycle Span = 256; // Power of two.
-        struct Event
-        {
-            int idx;
-            InstSeq seq;
-        };
-        struct FarEvent
-        {
-            Cycle cycle;
-            int idx;
-            InstSeq seq;
-        };
-        std::array<std::vector<Event>, Span> buckets;
-        std::vector<FarEvent> far;
-        Cycle base = 0;           ///< All events lie at >= base.
-        std::size_t total = 0;    ///< Events currently in buckets.
-    };
-
     /**
      * readyEvents holds instructions whose issue-relevant sources all
      * have known completion times; they join the issuable bitmap once
@@ -508,16 +423,8 @@ class Pipeline : public stats::Group
         readyEvents.push(c, idx, seq);
     }
 
-    void markIssuable(int idx)
-    {
-        issuableBits[static_cast<std::size_t>(idx) >> 6] |=
-            std::uint64_t{1} << (idx & 63);
-    }
-    void clearIssuable(int idx)
-    {
-        issuableBits[static_cast<std::size_t>(idx) >> 6] &=
-            ~(std::uint64_t{1} << (idx & 63));
-    }
+    void markIssuable(int idx) { core::setAgeBit(issuableBits, idx); }
+    void clearIssuable(int idx) { core::clearAgeBit(issuableBits, idx); }
 
     /** Register @p idx's source edges at dispatch. */
     void registerConsumers(int idx);
@@ -554,7 +461,6 @@ class Pipeline : public stats::Group
 
     core::MemQueue &queueOf(QueueKind kind);
     bool srcReady(const ProducerTag &tag) const;
-    Cycle srcReadyAt(const ProducerTag &tag, Cycle fallback) const;
     void pushStoreData(RobEntry &e);
 };
 

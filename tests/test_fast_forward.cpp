@@ -37,10 +37,12 @@ match(const std::vector<QueueEntry> &olderYoungestFirst,
       const QueueEntry &load)
 {
     std::vector<QueueEntry> storage = olderYoungestFirst;
-    std::vector<int> order;
-    for (int i = 0; i < static_cast<int>(storage.size()); ++i)
-        order.push_back(i);
-    return findFastForwardStore(storage, order, load);
+    auto youngestFirst = [&storage](auto &&visit) {
+        for (int i = 0; i < static_cast<int>(storage.size()); ++i)
+            if (!visit(i))
+                return;
+    };
+    return findFastForwardStore(storage, youngestFirst, load);
 }
 
 } // namespace

@@ -528,3 +528,194 @@ TEST(MemQueue, QueueSatisfiedFraction)
     r.tick(2);
     EXPECT_DOUBLE_EQ(r.q.queueSatisfiedFrac(), 0.5);
 }
+
+// ---- The store search walks back over the ring from the load's slot.
+
+TEST(MemQueue, StoreSearchFindsYoungestOlderOverlapAcrossTheWrap)
+{
+    Rig r(basicPolicy(2), 8);
+    // Move the head to slot 6 so that the entries below wrap.
+    for (int i = 0; i < 6; ++i)
+        r.q.release(r.addLoad());
+    int oldest = r.addStore();  // covers both loads, data ready
+    int youngest = r.addStore(); // covers both loads, no data yet
+    int other = r.addStore(reg::sp, 64); // another line
+    int ld = r.addLoad();
+    int later = r.addStore();   // covers both loads, data ready
+    int ld2 = r.addLoad();
+    ASSERT_EQ(oldest, 6);
+    ASSERT_EQ(youngest, 7);
+    ASSERT_EQ(other, 0);
+    ASSERT_EQ(ld, 1);
+    ASSERT_EQ(later, 2);
+    ASSERT_EQ(ld2, 3);
+    for (int st : {oldest, youngest, later})
+        r.q.setAddress(st, stackAddr, 1, false);
+    r.q.setAddress(other, stackAddr + 64, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    r.q.setAddress(ld2, stackAddr, 1, false);
+    for (int st : {oldest, other, later})
+        r.q.setStoreData(st, 1);
+    // ld: the store at slot 7, across the wrap, decides, so it waits.
+    // ld2: the store at slot 2 decides, not the one across the wrap.
+    auto done = r.tick(1);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].slot, ld2);
+    r.q.setStoreData(youngest, 2);
+    done = r.tick(2);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].slot, ld);
+    EXPECT_EQ(r.q.loadsForwarded.value(), 2u);
+    EXPECT_EQ(r.cache.accesses.value(), 0u);
+}
+
+TEST(MemQueue, StoreSearchSkipsCancelledZeroSizeAndAdjacentStores)
+{
+    Rig r(basicPolicy(2), 16);
+    int covering = r.addStore();
+    int cancelled = r.addStore();
+    int empty = r.addStore(reg::sp, 1, 1, 0);
+    int adjacent = r.addStore(reg::sp, 4);
+    int ld = r.addLoad();
+    r.q.setAddress(covering, stackAddr, 1, false);
+    r.q.setStoreData(covering, 1);
+    // Younger stores that must not decide: a cancelled covering copy
+    // without data, a zero-size store strictly inside the load's
+    // bytes, and a store ending where the load's bytes begin.
+    r.q.setAddress(cancelled, stackAddr, 1, false);
+    r.q.cancel(cancelled);
+    r.q.setAddress(empty, stackAddr + 1, 1, false);
+    r.q.setAddress(adjacent, stackAddr + 4, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    auto done = r.tick(1);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].slot, ld);
+    EXPECT_EQ(r.q.loadsForwarded.value(), 1u);
+    EXPECT_EQ(r.cache.accesses.value(), 0u);
+}
+
+TEST(MemQueue, PartiallyOverlappingYoungerStoreDecides)
+{
+    Rig r(basicPolicy(2), 16);
+    int covering = r.addStore();
+    int partial = r.addStore(reg::sp, 2, 1, 1); // one byte of the load
+    int ld = r.addLoad();
+    r.q.setAddress(covering, stackAddr, 1, false);
+    r.q.setAddress(partial, stackAddr + 2, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    r.q.setStoreData(covering, 1);
+    r.q.setStoreData(partial, 1);
+    // Never forward the older store's stale bytes: wait for the
+    // partial store to write the cache, then read it.
+    EXPECT_TRUE(r.tick(1).empty());
+    EXPECT_TRUE(r.tick(2).empty());
+    EXPECT_TRUE(r.q.commitStore(partial, 3));
+    auto done = r.tick(3);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(r.q.loadsForwarded.value(), 0u);
+    EXPECT_EQ(r.q.loadsFromCache.value(), 1u);
+}
+
+// ---- Idle ticks: no load can act, so the tick returns early.
+
+TEST(MemQueue, IdleTickReportsNoEventAndSamplesOccupancy)
+{
+    Rig r(basicPolicy(2), 8);
+    r.addStore();
+    r.addLoad(); // no address: cannot act
+    for (Cycle now = 0; now < 200; ++now) {
+        MemQueue::TickInfo info{now, 99};
+        r.done.clear();
+        r.q.tick(now, r.done, &info);
+        EXPECT_TRUE(r.done.empty());
+        EXPECT_EQ(info.nextEvent, kNoEvent) << "cycle " << now;
+        EXPECT_EQ(info.stalledLoads, 0u) << "cycle " << now;
+    }
+    // Sampled at cycles 64, 128 and 192, each time holding 2 entries.
+    EXPECT_EQ(r.q.occupancyHist.samples(), 3u);
+    EXPECT_EQ(r.q.occupancyHist.minValue(), 2u);
+    EXPECT_EQ(r.q.occupancyHist.maxValue(), 2u);
+}
+
+TEST(MemQueue, IdleTicksKeepTheBarrierWithinCapacity)
+{
+    Rig r(basicPolicy(2), 4);
+    Cycle now = 0;
+    // Stores stream through the queue while no load can act; one in
+    // three never gets an address before it leaves.
+    for (int i = 0; i < 1000; ++i, ++now) {
+        int st = r.addStore(reg::sp, 8 * (i % 4));
+        if (i % 3 != 0)
+            r.q.setAddress(st, stackAddr + 8 * (i % 4), now, false);
+        r.tick(now);
+        if (r.q.full())
+            r.q.release((st + 1) % 4); // the oldest resident slot
+        EXPECT_LE(r.q.barrierStores(), r.q.occupancy());
+    }
+    EXPECT_EQ(r.q.occupancy(), 3);
+}
+
+TEST(MemQueue, BusyTickAfterIdleTicksSeesThePerCycleBarrier)
+{
+    // Two queues see the same pushes. In `perCycle` an old load whose
+    // address is due far ahead keeps every tick busy, so the barrier
+    // is re-derived each cycle; in `idle` no load can act, so every
+    // tick returns early. A load arriving later must be blocked by
+    // the same store, and issue at the same cycle, in both.
+    Rig perCycle(basicPolicy(2), 16), idle(basicPolicy(2), 16);
+    int keep = perCycle.addLoad(reg::sp, 512);
+    perCycle.q.setAddress(keep, stackAddr + 512, 1000, false);
+
+    int issuedAt[2] = {-1, -1};
+    Rig *rigs[2] = {&perCycle, &idle};
+    for (int k = 0; k < 2; ++k) {
+        Rig &r = *rigs[k];
+        int resolved = r.addStore();
+        int unknown = r.addStore(reg::sp, 32);
+        r.q.setAddress(resolved, stackAddr, 5, false);
+        for (Cycle now = 0; now < 200; ++now) {
+            if (now == 100) // Re-addressed: it blocks again until 300.
+                r.q.setAddress(resolved, stackAddr + 16, 300, false);
+            if (now == 150)
+                r.q.setAddress(unknown, stackAddr + 32, 250, false);
+            r.tick(now);
+        }
+        int ld = r.addLoad(reg::sp, 64);
+        r.q.setAddress(ld, stackAddr + 64, 200, false);
+        for (Cycle now = 200; now < 400 && issuedAt[k] < 0; ++now)
+            for (const LoadCompletion &c : r.tick(now))
+                if (c.slot == ld)
+                    issuedAt[k] = static_cast<int>(now);
+    }
+    EXPECT_EQ(issuedAt[0], 300);
+    EXPECT_EQ(issuedAt[1], 300);
+    EXPECT_EQ(perCycle.q.disambiguationStalls.value(), 100u);
+    EXPECT_EQ(idle.q.disambiguationStalls.value(), 100u);
+}
+
+// ---- Ring arithmetic on a capacity that is not a power of two.
+
+TEST(MemQueue, PositionsRunOnAcrossTheWrapOfA48EntryQueue)
+{
+    QueuePolicy p = basicPolicy(2);
+    p.combining = 2;
+    Rig r(p, 48);
+    // Head at slot 27: positions 20 and 21 sit at slots 47 and 0.
+    for (int i = 0; i < 27; ++i)
+        r.q.release(r.addLoad());
+    int slots[22];
+    for (int i = 0; i < 22; ++i)
+        slots[i] = r.addLoad(reg::sp, 4 * (i % 8));
+    ASSERT_EQ(slots[0], 27);
+    ASSERT_EQ(slots[20], 47);
+    ASSERT_EQ(slots[21], 0);
+    // Two same-line pairs of consecutive entries: positions 0 and 1
+    // (the head) and positions 20 and 21 (the wrap). Each pair
+    // combines into one of the two ports.
+    for (int i : {0, 1, 20, 21})
+        r.q.setAddress(slots[i], stackAddr + 4 * (i % 8), 1, false);
+    auto done = r.tick(1);
+    EXPECT_EQ(done.size(), 4u);
+    EXPECT_EQ(r.q.combinedAccesses.value(), 2u);
+    EXPECT_EQ(r.q.portDenials.value(), 0u);
+}

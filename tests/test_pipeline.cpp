@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "config/presets.hh"
+#include "cpu/event_ring.hh"
 #include "cpu/pipeline.hh"
 #include "prog/builder.hh"
 #include "stats/group.hh"
+#include "util/error.hh"
+#include "util/log.hh"
 #include "vm/executor.hh"
 
 using namespace ddsim;
@@ -354,4 +359,51 @@ TEST(Pipeline, CyclesMatchBetweenRuns)
     auto b2 = simulate(p, config::baseline(2));
     EXPECT_EQ(a.cycles, b2.cycles);
     EXPECT_EQ(a.committed, b2.committed);
+}
+
+// ---- EventRing: the wakeup wheel, one link per ROB slot.
+
+TEST(EventRing, EventsBeyondTheWheelFireAtTheirCycle)
+{
+    cpu::EventRing ring(8);
+    ring.push(5, 1, 10);
+    ring.push(255, 2, 20);  // the wheel's last cycle
+    ring.push(256, 3, 30);  // one past it
+    ring.push(1000, 4, 40); // far beyond it
+    EXPECT_EQ(ring.nextEvent(), 5u);
+    std::vector<std::pair<Cycle, int>> fired;
+    auto drain = [&](Cycle now) {
+        ring.drainUpTo(now, [&](int idx, InstSeq seq) {
+            EXPECT_EQ(seq, static_cast<InstSeq>(idx) * 10);
+            fired.emplace_back(now, idx);
+        });
+    };
+    // Drain every cycle up to 300, then jump as the skip-ahead does.
+    for (Cycle now = 0; now <= 300; ++now)
+        drain(now);
+    EXPECT_EQ(ring.nextEvent(), 1000u);
+    drain(999);
+    drain(1000);
+    std::vector<std::pair<Cycle, int>> want = {
+        {5, 1}, {255, 2}, {256, 3}, {1000, 4}};
+    EXPECT_EQ(fired, want);
+    EXPECT_EQ(ring.nextEvent(), core::kNoEvent);
+}
+
+TEST(EventRing, SecondPendingEventOnASlotPanics)
+{
+    setQuiet(true);
+    cpu::EventRing ring(4);
+    ring.push(10, 2, 1);
+    EXPECT_THROW(ring.push(20, 2, 5), PanicError);
+    ring.push(5000, 1, 3); // far events are pending too
+    EXPECT_THROW(ring.push(6, 1, 4), PanicError);
+    // A drained slot takes its next instruction's event.
+    int fired = 0;
+    ring.drainUpTo(10, [&](int idx, InstSeq) {
+        EXPECT_EQ(idx, 2);
+        ++fired;
+    });
+    EXPECT_EQ(fired, 1);
+    EXPECT_NO_THROW(ring.push(11, 2, 6));
 }
