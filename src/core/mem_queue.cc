@@ -176,7 +176,6 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
     }
     if (e.isLoad && !e.cancelled && !e.issued && !e.completed)
         setAgeBit(actBits, slot);
-    extEvent = std::min(extEvent, when);
 }
 
 void
@@ -187,7 +186,6 @@ MemQueue::setStoreData(int slot, Cycle readyAt)
         panic("setStoreData on a non-store queue slot");
     e.dataReady = true;
     e.dataReadyAt = readyAt;
-    extEvent = std::min(extEvent, readyAt);
 }
 
 void
@@ -205,7 +203,6 @@ MemQueue::cancel(int slot)
     clearAgeBit(barrierBits, slot);
     if (e.isStore && e.addrKnown)
         bumpStoreEpoch();
-    extEvent = 0; // Barrier and fast-forward waiters re-evaluate.
 }
 
 bool
@@ -241,14 +238,9 @@ MemQueue::tryCacheAccess(QueueEntry &e, int slot, int pos, Cycle now)
 
 bool
 MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
-                      InstSeq barrierSeq, Cycle barrierEvent,
-                      std::vector<LoadCompletion> &completions,
-                      TickInfo &info)
+                      InstSeq barrierSeq,
+                      std::vector<LoadCompletion> &completions)
 {
-    auto wantEvent = [&info](Cycle c) {
-        info.nextEvent = std::min(info.nextEvent, c);
-    };
-
     // --- Fast data forwarding: may complete before addresses. ---
     if (e.fastFwdSlot >= 0) {
         QueueEntry &s =
@@ -266,8 +258,6 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
             }
             // Else: wait for the store's data; either way this load
             // never consults the cache.
-            if (s.dataReady)
-                wantEvent(s.dataReadyAt);
             return false;
         }
         // The matched store left the queue (committed); its value is
@@ -276,18 +266,11 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
     }
 
     // --- Normal path: needs this load's address. ---
-    if (!e.addrKnown)
+    if (!e.addrKnown || e.addrKnownAt > now)
         return false;
-    if (e.addrKnownAt > now) {
-        wantEvent(e.addrKnownAt);
-        return false;
-    }
 
     if (e.seq > barrierSeq) {
         ++disambiguationStalls;
-        ++info.stalledLoads;
-        wantEvent(barrierEvent); // kNoEvent while the barrier store's
-                                 // address generation has not issued.
         return false;
     }
 
@@ -309,11 +292,8 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
         if (st.valid && st.seq == e.olderStoreSeq && !st.committed) {
             if (!e.coveredBy(st))
                 return false; // Partial overlap: wait for the commit.
-            if (!(st.dataReady && st.dataReadyAt <= now)) {
-                if (st.dataReady)
-                    wantEvent(st.dataReadyAt);
+            if (!(st.dataReady && st.dataReadyAt <= now))
                 return false; // Wait for the store's data.
-            }
             // As in sim-outorder, a load satisfied by in-queue
             // forwarding still issues through a cache port; only the
             // latency is the 1-cycle forward. (Fast data forwarding
@@ -324,7 +304,6 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
                 ++portDenials;
                 if (grant.bankConflict)
                     ++bankConflicts;
-                wantEvent(now + 1); // Ports reset next cycle.
                 return false;
             }
             e.issued = true;
@@ -349,28 +328,21 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
         completions.push_back({slot, e.robIdx, e.completeAt});
         return true;
     }
-    wantEvent(now + 1); // Ports reset next cycle.
     return false;
 }
 
 void
-MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
-               TickInfo *infoOut)
+MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions)
 {
     scheduler.newCycle(now);
     if (now >= lastSampled + 64) {
         occupancyHist.sample(static_cast<std::uint64_t>(count));
         lastSampled = now;
     }
-    // No load can act: nothing below would issue, forward, stall or
-    // schedule an event, so report the empty summary a full tick
-    // would.
+    // No load can act: nothing below would issue, forward or stall.
     if (std::none_of(actBits.begin(), actBits.end(),
-                     [](std::uint64_t w) { return w != 0; })) {
-        if (infoOut)
-            *infoOut = TickInfo{};
+                     [](std::uint64_t w) { return w != 0; }))
         return;
-    }
 
     // The disambiguation barrier: the oldest tracked store whose
     // address is unknown as of this cycle; exactly the loads younger
@@ -378,7 +350,6 @@ MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
     // address, once arrived, changes only through setAddress, which
     // puts the store back), so each store is passed over once.
     InstSeq barrierSeq = ~InstSeq{0};
-    Cycle barrierEvent = kNoEvent;
     forEachAgeOrdered(barrierBits, head, count, capacity, [&](int slot) {
         const QueueEntry &st = entries[static_cast<std::size_t>(slot)];
         if (st.addrKnown && st.addrKnownAt <= now) {
@@ -386,41 +357,18 @@ MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
             return true;
         }
         barrierSeq = st.seq;
-        if (st.addrKnown) // In flight: resolves at a known cycle.
-            barrierEvent = st.addrKnownAt;
         return false;
     });
 
     // Visit the loads that can act oldest-first, preserving the port
     // request order of the original walk over every resident load.
-    TickInfo info;
     forEachAgeOrdered(actBits, head, count, capacity, [&](int slot) {
         QueueEntry &e = entries[static_cast<std::size_t>(slot)];
-        if (processLoad(e, slot, now, barrierSeq, barrierEvent,
-                        completions, info) ||
+        if (processLoad(e, slot, now, barrierSeq, completions) ||
             (!e.addrKnown && e.fastFwdSlot < 0))
             clearAgeBit(actBits, slot);
         return true;
     });
-    if (infoOut)
-        *infoOut = info;
-}
-
-void
-MemQueue::skipTo(Cycle from, Cycle to, std::uint64_t stalledLoads)
-{
-    if (to <= from)
-        return;
-    // The per-cycle model ticked every cycle in (from, to]: each tick
-    // re-charged the same disambiguation stalls (nothing changes in a
-    // quiescent window) and re-sampled occupancy once 64 cycles had
-    // passed since the last sample. Occupancy is constant across the
-    // window, so the catch-up samples all record the current count.
-    disambiguationStalls += stalledLoads * (to - from);
-    while (to >= lastSampled + 64) {
-        occupancyHist.sample(static_cast<std::uint64_t>(count));
-        lastSampled += 64;
-    }
 }
 
 bool
@@ -452,7 +400,6 @@ MemQueue::commitStore(int slot, Cycle now)
     e.committed = true;
     servedInfo[static_cast<std::size_t>(slot)] = {ServedInfo::kCache,
                                                   grant.combined, now};
-    extEvent = std::min(extEvent, now + 1); // Unblocks partial waits.
     return true;
 }
 

@@ -16,6 +16,10 @@
  * optimizations: fast data forwarding (offset matching before address
  * generation) and access combining in the port scheduler.
  *
+ * The pipeline ticks each queue once every cycle, idle cycles
+ * included, so a disambiguation stall or an occupancy sample is
+ * charged in the tick where it happens.
+ *
  * The implementation is indexed rather than scanned. Per-slot bitmaps
  * over the queue's own ring, walked in age order from the head, hold
  * the loads that can act (an address has arrived, or a fast-forward
@@ -27,8 +31,8 @@
  * the barrier finds its youngest older overlapping store once, by
  * walking the store bitmap back from its own slot against a dense
  * per-slot array of store byte ranges, and keeps the answer until a
- * store is cancelled or re-addressed. The timing model is bit-identical to the original
- * full scan.
+ * store is cancelled or re-addressed. The timing model is
+ * bit-identical to the original full scan.
  */
 
 #ifndef DDSIM_CORE_MEM_QUEUE_HH_
@@ -65,30 +69,10 @@ struct LoadCompletion
     Cycle readyAt = 0;
 };
 
-/** "No scheduled event" sentinel for event-driven cycle skipping. */
-inline constexpr Cycle kNoEvent = ~Cycle{0};
-
 /** One memory access queue (LSQ or LVAQ). */
 class MemQueue : public stats::Group
 {
   public:
-    /**
-     * Per-tick scheduling summary, advisory input to the pipeline's
-     * cycle skip-ahead. nextEvent is the earliest future cycle at
-     * which this queue can make progress from *already-pushed* state
-     * (an address or store datum arriving, or a denied port retry);
-     * progress that needs a new external push (setAddress,
-     * setStoreData, commitStore, cancel) is reported through
-     * takeExternalEvent() instead. stalledLoads counts the loads that
-     * took a disambiguation stall this tick; while the queue is left
-     * unticked every skipped cycle accrues the same stalls.
-     */
-    struct TickInfo
-    {
-        Cycle nextEvent = kNoEvent;
-        std::uint64_t stalledLoads = 0;
-    };
-
     /**
      * @param cache The cache this queue's ports reach.
      * @param altCache Cache used by missteered accesses (the "other"
@@ -133,31 +117,7 @@ class MemQueue : public stats::Group
      * forward them) and report completions. Must be called once per
      * cycle after stores have committed (stores get port priority).
      */
-    void tick(Cycle now, std::vector<LoadCompletion> &completions,
-              TickInfo *info = nullptr);
-
-    /**
-     * Replay the queue-side effects of leaving the queue unticked for
-     * cycles (@p from, @p to]: each load that stalled on
-     * disambiguation in the tick at @p from stalls again every skipped
-     * cycle, and the occupancy histogram keeps sampling every 64
-     * cycles. Only valid while the queue is quiescent (the pipeline
-     * skips only when no allocate/release/setAddress/setStoreData/
-     * commitStore/cancel lands in the window).
-     */
-    void skipTo(Cycle from, Cycle to, std::uint64_t stalledLoads);
-
-    /**
-     * Earliest cycle at which state pushed from outside since the last
-     * call (setAddress, setStoreData, commitStore, cancel) can change
-     * this queue's behaviour. Consumed: resets to kNoEvent.
-     */
-    Cycle takeExternalEvent()
-    {
-        Cycle e = extEvent;
-        extEvent = kNoEvent;
-        return e;
-    }
+    void tick(Cycle now, std::vector<LoadCompletion> &completions);
 
     /**
      * Try to write a committing store to the cache. @return false if
@@ -260,8 +220,6 @@ class MemQueue : public stats::Group
      * older store (QueueEntry::olderStoreSlot). Never 0.
      */
     std::uint32_t storeEpoch = 1;
-    /** Earliest effect cycle of external pushes since last taken. */
-    Cycle extEvent = kNoEvent;
 
     int positionOf(int slot) const;
 
@@ -284,9 +242,8 @@ class MemQueue : public stats::Group
      * scan). @return true when the load issued or completed.
      */
     bool processLoad(QueueEntry &e, int slot, Cycle now,
-                     InstSeq barrierSeq, Cycle barrierEvent,
-                     std::vector<LoadCompletion> &completions,
-                     TickInfo &info);
+                     InstSeq barrierSeq,
+                     std::vector<LoadCompletion> &completions);
 
     /** Issue one load to the cache via the port scheduler. */
     bool tryCacheAccess(QueueEntry &e, int slot, int pos, Cycle now);

@@ -9,12 +9,10 @@
 #ifndef DDSIM_CPU_EVENT_RING_HH_
 #define DDSIM_CPU_EVENT_RING_HH_
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <vector>
 
-#include "core/mem_queue.hh"
 #include "util/log.hh"
 #include "util/types.hh"
 
@@ -62,25 +60,6 @@ class EventRing
             n.next = farHead;
             farHead = idx;
         }
-    }
-
-    /** Earliest pending event cycle, or core::kNoEvent. */
-    Cycle
-    nextEvent() const
-    {
-        Cycle best = core::kNoEvent;
-        if (total != 0) {
-            for (Cycle c = base; c < base + Span; ++c) {
-                if (heads[c & (Span - 1)] >= 0) {
-                    best = c;
-                    break;
-                }
-            }
-        }
-        for (int i = farHead; i >= 0;
-             i = nodes[static_cast<std::size_t>(i)].next)
-            best = std::min(best, nodes[static_cast<std::size_t>(i)].cycle);
-        return best;
     }
 
     /** Invoke f(idx, seq) for every event due at cycle <= now. */

@@ -128,7 +128,6 @@ Pipeline::commitStage()
                     break;
                 if (!q.commitStore(slot, curCycle)) {
                     ++commitPortStalls;
-                    commitPortBlocked = true;
                     break;
                 }
             } else {
@@ -260,9 +259,9 @@ void
 Pipeline::memoryStage()
 {
     completions.clear();
-    lsqQueue->tick(curCycle, completions, &lsqTick);
+    lsqQueue->tick(curCycle, completions);
     if (lvaqQueue)
-        lvaqQueue->tick(curCycle, completions, &lvaqTick);
+        lvaqQueue->tick(curCycle, completions);
     for (const core::LoadCompletion &c : completions) {
         RobEntry &e = rob[c.robIdx];
         if (!e.valid)
@@ -705,98 +704,9 @@ Pipeline::fastForward(std::uint64_t n)
 
 // ---- Top level ------------------------------------------------------------------
 
-Cycle
-Pipeline::headCommitEvent() const
-{
-    if (rob.empty())
-        return core::kNoEvent;
-    const RobEntry &e = rob[rob.headIdx()];
-    if (e.isMem() && e.info->store) {
-        // Mirror of the commit stage's readiness test. A denied port
-        // is handled separately (commitPortBlocked forbids skipping).
-        const core::MemQueue &q =
-            e.replicated && e.stackAccess
-                ? *lvaqQueue
-                : (e.queueKind == QueueKind::Lvaq ? *lvaqQueue
-                                                  : *lsqQueue);
-        int slot = e.replicated && e.stackAccess ? e.lvaqSlot
-                                                 : e.queueSlot;
-        const core::QueueEntry &qe = q.entry(slot);
-        if (qe.addrKnown && qe.dataReady)
-            return std::max(qe.addrKnownAt, qe.dataReadyAt);
-        return core::kNoEvent; // Awaits a push; extEvent covers it.
-    }
-    if (e.completed)
-        return e.readyAt;
-    return core::kNoEvent; // Completion itself is covered elsewhere.
-}
-
-void
-Pipeline::maybeSkipCycles()
-{
-    Cycle target = core::kNoEvent;
-    auto fold = [&target](Cycle c) { target = std::min(target, c); };
-
-    // Consume the queues' external-push events every decision (they
-    // are sticky minima, not per-cycle state) and fold the last
-    // tick's self-scheduled events.
-    fold(lsqQueue->takeExternalEvent());
-    fold(lsqTick.nextEvent);
-    if (lvaqQueue) {
-        fold(lvaqQueue->takeExternalEvent());
-        fold(lvaqTick.nextEvent);
-    }
-
-    // Structures that re-evaluate every cycle must keep ticking.
-    if (commitPortBlocked)
-        return; // The denied store retries with fresh ports.
-    bool fetchActive =
-        !streamDone() && fetchQueue.size() < fetchQueueCap;
-    if (fetchActive)
-        return;
-    if (!fetchQueue.empty() && !rob.full())
-        return; // Dispatch acts (and classify() counts) every cycle.
-    for (std::uint64_t w : issuableBits)
-        if (w)
-            return; // The issue scan has work or FU/width retries.
-
-    fold(readyEvents.nextEvent());
-    fold(storeDataEvents.nextEvent());
-    fold(headCommitEvent());
-
-    if (target == core::kNoEvent) {
-        if (rob.empty())
-            return; // The run loop is about to stop.
-        // No event will ever fire: jump to where the per-cycle model
-        // reports the deadlock (cycleOnce raises DeadlockError with
-        // the same cycle count).
-        target = lastCommit + kDeadlockCycles;
-    }
-    if (target <= curCycle)
-        return;
-
-    // ---- Jump. Replay the counters the idle cycles would accrue:
-    // the window and the queues are untouched through the skipped
-    // cycles, so occupancies are constant and the same loads re-take
-    // the same disambiguation stall each cycle.
-    Cycle delta = target - curCycle;
-    for (Cycle t = (curCycle + 63) & ~Cycle{63}; t < target; t += 64)
-        robOccupancy.sample(
-            static_cast<std::uint64_t>(rob.occupancy()));
-    if (!fetchQueue.empty()) // rob.full() held above
-        robFullStalls += delta;
-    lsqQueue->skipTo(curCycle - 1, target - 1, lsqTick.stalledLoads);
-    if (lvaqQueue)
-        lvaqQueue->skipTo(curCycle - 1, target - 1,
-                          lvaqTick.stalledLoads);
-    numCycles += delta;
-    curCycle = target;
-}
-
 void
 Pipeline::cycleOnce()
 {
-    commitPortBlocked = false;
     // The memory stage runs before commit so that a load polling its
     // queue can forward from a store in the same cycle the store
     // retires (otherwise every store that commits the cycle its data
@@ -855,8 +765,6 @@ Pipeline::run(std::uint64_t maxInsts)
     std::uint64_t iter = 0;
     while (!done()) {
         cycleOnce();
-        if (!done())
-            maybeSkipCycles();
         checkGuards(iter++);
     }
 }
@@ -868,8 +776,6 @@ Pipeline::runUntilFetched(std::uint64_t insts, std::uint64_t cap)
     std::uint64_t iter = 0;
     while (numFetched < insts && !streamDone()) {
         cycleOnce();
-        if (numFetched < insts && !streamDone())
-            maybeSkipCycles();
         checkGuards(iter++);
     }
 }

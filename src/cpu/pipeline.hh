@@ -9,7 +9,9 @@
  * cache, taking port priority), memory tick (loads issue to the
  * caches or forward in-queue), issue (FU and address-generation
  * selection, oldest first), dispatch (rename + steer memory ops into
- * LSQ/LVAQ) and fetch (pull from the functional executor).
+ * LSQ/LVAQ) and fetch (pull from the functional executor). The run
+ * loops tick every cycle, idle ones included, as sim-outorder does,
+ * so every statistic accrues in the cycle where it happens.
  */
 
 #ifndef DDSIM_CPU_PIPELINE_HH_
@@ -405,10 +407,6 @@ class Pipeline : public stats::Group
     EventRing storeDataEvents;
     /** Per-ROB-slot "visit me in the issue scan" bits, age-iterated. */
     std::vector<std::uint64_t> issuableBits;
-    /** Last memory tick's scheduling summary, one per queue. */
-    core::MemQueue::TickInfo lsqTick, lvaqTick;
-    /** A store commit was denied a port this cycle (retries hot). */
-    bool commitPortBlocked = false;
 
     /**
      * All wakeups route through here so the armed fault above can
@@ -438,17 +436,6 @@ class Pipeline : public stats::Group
     void onProducerComplete(int pIdx, bool inIssueStage);
     /** Run one issuable entry; false stops the scan (width spent). */
     bool visitIssuable(int idx, int &issued);
-    /** Cycle the ROB head becomes commit-eligible, if already known. */
-    Cycle headCommitEvent() const;
-    /**
-     * Cycle skip-ahead: when every pipeline structure is quiescent
-     * and the earliest scheduled event is at cycle T > curCycle, jump
-     * straight to T, replaying the per-cycle counters (stall charges,
-     * occupancy samples) the skipped empty cycles would have accrued.
-     * Timing is bit-identical to ticking through them. Only the run
-     * loops call this; cycleOnce() alone stays strictly per-cycle.
-     */
-    void maybeSkipCycles();
 
     void traceCommit(const RobEntry &e);
     void recordCommit(const RobEntry &e, int idx);

@@ -281,17 +281,7 @@ writeJobRecord(const Spool &sp, const JobRecord &rec)
         w.field("id", rec.id);
         w.field("status", jobStatusName(rec.status));
         w.field("attempts", static_cast<std::uint64_t>(rec.attempts));
-        if (rec.error.kind.empty()) {
-            w.key("error");
-            w.valueNull();
-        } else {
-            w.key("error");
-            w.beginObject();
-            w.field("kind", rec.error.kind);
-            w.field("message", rec.error.message);
-            w.field("transient", rec.error.transient);
-            w.endObject();
-        }
+        writeErrorField(w, rec.error);
         w.field("worker", rec.worker);
         w.field("shard", rec.shard);
         w.field("wall_seconds", rec.wallSeconds);
@@ -1153,14 +1143,8 @@ mergeSpool(const std::string &root, const std::string &mergedPath,
                 w.field("attempts",
                         static_cast<std::uint64_t>(rec.attempts));
                 w.field("wall_seconds", rec.wallSeconds);
-                if (!rec.error.kind.empty()) {
-                    w.key("error");
-                    w.beginObject();
-                    w.field("kind", rec.error.kind);
-                    w.field("message", rec.error.message);
-                    w.field("transient", rec.error.transient);
-                    w.endObject();
-                }
+                if (!rec.error.kind.empty())
+                    writeErrorField(w, rec.error);
                 w.endObject();
             }
             w.endArray();

@@ -145,8 +145,9 @@ struct RunOptions
     // ---- Run guards (0 = unlimited) ----
     /**
      * Abort the run with BudgetExceededError once this many cycles
-     * have been simulated (warmup included). Runs that finish within
-     * the budget are bit-identical to unbudgeted runs.
+     * have been simulated (warmup included). The run loops tick every
+     * cycle, so the error reports exactly maxCycles + 1. Runs that
+     * finish within the budget are bit-identical to unbudgeted runs.
      */
     std::uint64_t maxCycles = 0;
     /**

@@ -45,6 +45,21 @@ classifyError(const std::exception_ptr &e)
     }
 }
 
+void
+writeErrorField(JsonWriter &w, const ErrorClass &e)
+{
+    w.key("error");
+    if (e.kind.empty()) {
+        w.valueNull();
+        return;
+    }
+    w.beginObject();
+    w.field("kind", e.kind);
+    w.field("message", e.message);
+    w.field("transient", e.transient);
+    w.endObject();
+}
+
 SweepRunner::SweepRunner(unsigned workers) : pool(workers) {}
 
 SweepRunner::~SweepRunner()
@@ -217,17 +232,7 @@ writeSweepManifestDoc(const std::string &title,
             w.field("status", jobStatusName(jo.status));
             w.field("attempts",
                     static_cast<std::uint64_t>(jo.attempts));
-            if (jo.error.kind.empty()) {
-                w.key("error");
-                w.valueNull();
-            } else {
-                w.key("error");
-                w.beginObject();
-                w.field("kind", jo.error.kind);
-                w.field("message", jo.error.message);
-                w.field("transient", jo.error.transient);
-                w.endObject();
-            }
+            writeErrorField(w, jo.error);
             w.endObject();
         }
         w.endArray();

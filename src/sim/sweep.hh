@@ -45,6 +45,10 @@
 #include "util/thread_pool.hh"
 #include "vm/trace.hh"
 
+namespace ddsim {
+class JsonWriter;
+}
+
 namespace ddsim::sim {
 
 /**
@@ -88,6 +92,12 @@ struct ErrorClass
  *  (transient — concurrent jobs release memory); anything else is
  *  "unknown" and permanent. */
 ErrorClass classifyError(const std::exception_ptr &e);
+
+/** Write the "error" member of the object @p w is in: null for an
+ *  empty kind (never failed), else {kind, message, transient}. The one
+ *  writer for the sweep manifest, the farm's job records and its
+ *  merged manifest. */
+void writeErrorField(JsonWriter &w, const ErrorClass &e);
 
 /** Per-job record in a SweepOutcome. */
 struct JobOutcome

@@ -6,8 +6,8 @@
  * timing model by tools/ddbaseline).
  *
  * Any scheduling-core optimization — wakeup networks, indexed queues,
- * cycle skip-ahead, trace replay — must keep these numbers
- * bit-identical: the speedups are implementation-only, never
+ * early returns from idle ticks, trace replay — must keep these
+ * numbers bit-identical: the speedups are implementation-only, never
  * model-visible.
  */
 

@@ -618,18 +618,16 @@ TEST(MemQueue, PartiallyOverlappingYoungerStoreDecides)
 
 // ---- Idle ticks: no load can act, so the tick returns early.
 
-TEST(MemQueue, IdleTickReportsNoEventAndSamplesOccupancy)
+TEST(MemQueue, IdleTickChargesNoStallAndSamplesOccupancy)
 {
     Rig r(basicPolicy(2), 8);
     r.addStore();
     r.addLoad(); // no address: cannot act
     for (Cycle now = 0; now < 200; ++now) {
-        MemQueue::TickInfo info{now, 99};
         r.done.clear();
-        r.q.tick(now, r.done, &info);
+        r.q.tick(now, r.done);
         EXPECT_TRUE(r.done.empty());
-        EXPECT_EQ(info.nextEvent, kNoEvent) << "cycle " << now;
-        EXPECT_EQ(info.stalledLoads, 0u) << "cycle " << now;
+        EXPECT_EQ(r.q.disambiguationStalls.value(), 0u) << "cycle " << now;
     }
     // Sampled at cycles 64, 128 and 192, each time holding 2 entries.
     EXPECT_EQ(r.q.occupancyHist.samples(), 3u);

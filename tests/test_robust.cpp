@@ -264,6 +264,35 @@ TEST(RunGuards, CycleBudgetRaisesTypedError)
     }
 }
 
+TEST(RunGuards, CycleBudgetTripsOneCyclePastTheBudget)
+{
+    // The run loops tick one cycle at a time, so every run that
+    // outlasts its budget reports exactly the first cycle past it.
+    QuietGuard q;
+    const std::uint64_t budgets[] = {100,  500,  1000,  2500,
+                                     5000, 7777, 10000, 20000};
+    const config::MachineConfig cfgs[] = {config::baseline(2),
+                                          config::decoupled(3, 2)};
+    for (const workloads::WorkloadInfo &w : workloads::all()) {
+        auto prog = program(w.name, w.defaultScale);
+        for (const config::MachineConfig &cfg : cfgs) {
+            for (std::uint64_t budget : budgets) {
+                sim::RunOptions opts;
+                opts.maxCycles = budget;
+                try {
+                    sim::run(prog, cfg, opts);
+                    ADD_FAILURE() << w.name << " " << cfg.notation()
+                                  << " finished within " << budget;
+                } catch (const BudgetExceededError &e) {
+                    EXPECT_EQ(e.actual(), e.limit() + 1)
+                        << w.name << " " << cfg.notation() << " budget "
+                        << budget;
+                }
+            }
+        }
+    }
+}
+
 TEST(RunGuards, WallBudgetRaisesTypedError)
 {
     QuietGuard q;

@@ -74,8 +74,7 @@ LAYERS = [
                         r"^ddsim::cpu::(Rob|RenameTable)::",
                         r"^ddsim::core::(Classifier|RegionPredictor)::"]),
     ("wakeup/select", [P + r"(issueStage|visitIssuable|onProducerComplete|"
-                       r"pushStoreData|pushReady|srcReady|"
-                       r"maybeSkipCycles|headCommitEvent|cycleOnce|run\(|"
+                       r"pushStoreData|pushReady|srcReady|cycleOnce|run\(|"
                        r"runUntilFetched|done\(|streamDone|checkGuards)",
                        r"^ddsim::cpu::(FuPool|EventRing)::"]),
     ("mem queues", [r"^ddsim::core::(MemQueue|PortScheduler)::",
