@@ -31,22 +31,22 @@ main(int argc, char **argv)
                       "(2+2)opt banked 2x4"});
     std::vector<double> b4, dec, decB;
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(4)});
+        jobs.push_back(opts.job(*info, config::baseline(4)));
         for (int banks : {4, 8, 16}) {
             config::MachineConfig cfg = config::baseline(4);
             cfg.l1.banks = banks;
-            jobs.push_back({program, cfg});
+            jobs.push_back(opts.job(*info, cfg));
         }
-        jobs.push_back({program, config::decoupledOptimized(2, 2)});
+        jobs.push_back(opts.job(*info, config::decoupledOptimized(2, 2)));
         config::MachineConfig db = config::decoupledOptimized(2, 2);
         db.l1.banks = 4;
         db.lvc.banks = 4;
-        jobs.push_back({program, db});
+        jobs.push_back(opts.job(*info, db));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Ablation: banked L1 sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Ablation: banked L1 sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

@@ -39,17 +39,17 @@ main(int argc, char **argv)
                       "spbase", "predictor", "replicate",
                       "pred. accuracy", "pred. missteers"});
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
         for (ClassifierKind kind : kinds) {
             config::MachineConfig cfg =
                 config::decoupledOptimized(3, 2);
             cfg.classifier = kind;
-            jobs.push_back({program, cfg});
+            jobs.push_back(opts.job(*info, cfg));
         }
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Ablation: classifier sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Ablation: classifier sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

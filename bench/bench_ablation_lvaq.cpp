@@ -27,20 +27,20 @@ main(int argc, char **argv)
     sim::Table table({"program", "8", "16", "32", "64(IPC)", "128",
                       "fastFwd@8", "fastFwd@64"});
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
         config::MachineConfig ref = config::decoupledOptimized(3, 2);
         ref.lvaqSize = 64;
-        jobs.push_back({program, ref});
+        jobs.push_back(opts.job(*info, ref));
         for (int size : sizes) {
             config::MachineConfig cfg =
                 config::decoupledOptimized(3, 2);
             cfg.lvaqSize = size;
-            jobs.push_back({program, cfg});
+            jobs.push_back(opts.job(*info, cfg));
         }
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Ablation: LVAQ size sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Ablation: LVAQ size sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

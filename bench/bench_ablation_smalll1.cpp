@@ -36,28 +36,28 @@ main(int argc, char **argv)
                       "L2=8: small/dec", "L2=12: small/dec"});
     std::vector<std::vector<double>> smallRel(4), decRel(4);
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
         for (int i = 0; i < 4; ++i) {
             config::MachineConfig conv = config::baseline(4);
             conv.l2.hitLatency = l2Lats[i];
-            jobs.push_back({program, conv});
+            jobs.push_back(opts.job(*info, conv));
 
             config::MachineConfig tiny = config::baseline(4);
             tiny.l2.hitLatency = l2Lats[i];
             tiny.l1.sizeBytes = 2048;
             tiny.l1.assoc = 1;
             tiny.l1.hitLatency = 1;
-            jobs.push_back({program, tiny});
+            jobs.push_back(opts.job(*info, tiny));
 
             config::MachineConfig dec =
                 config::decoupledOptimized(2, 2);
             dec.l2.hitLatency = l2Lats[i];
-            jobs.push_back({program, dec});
+            jobs.push_back(opts.job(*info, dec));
         }
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Ablation: small L1 sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Ablation: small L1 sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

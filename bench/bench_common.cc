@@ -3,9 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
-#include "sim/grid_spec.hh"
+#include "sim/farm.hh"
 #include "util/log.hh"
 #include "util/str.hh"
 
@@ -122,178 +121,88 @@ Options::traceFor(const workloads::WorkloadInfo &info) const
     return nullptr;
 }
 
-prog::Program
-buildProgram(const workloads::WorkloadInfo &info, const Options &opts)
+sim::GridJob
+Options::job(const workloads::WorkloadInfo &info,
+             const config::MachineConfig &cfg) const
 {
-    if (!info.factory)
-        fatal("program '%s' is an external trace input; its program "
-              "is embedded in the trace, not built from a factory",
-              info.name);
-    workloads::WorkloadParams p;
-    double scaled =
-        static_cast<double>(info.defaultScale) * opts.scaleFactor;
-    p.scale = scaled < 1.0 ? 1 : static_cast<std::uint64_t>(scaled);
-    return info.factory(p);
+    sim::GridJob g;
+    g.workload = info.name;
+    if (const TraceInput *ti = traceFor(info)) {
+        g.tracePath = ti->path;
+    } else {
+        double scaled =
+            static_cast<double>(info.defaultScale) * scaleFactor;
+        g.scale = scaled < 1.0 ? 1 : static_cast<std::uint64_t>(scaled);
+        g.seed = workloads::WorkloadParams{}.seed;
+    }
+    g.engine = engine;
+    if (engine == sim::Engine::Sampled)
+        g.sampling = sampling;
+    g.cfg = cfg;
+    return g;
 }
 
 std::shared_ptr<const prog::Program>
 buildProgramShared(const workloads::WorkloadInfo &info,
                    const Options &opts)
 {
-    // Trace inputs carry their own reconstructed program; handing it
-    // out here lets every bench treat them like registry workloads.
-    if (!info.factory) {
-        const TraceInput *ti = opts.traceFor(info);
-        if (!ti)
-            fatal("program '%s' has no factory and no backing trace",
-                  info.name);
+    if (const TraceInput *ti = opts.traceFor(info))
         return ti->trace->sharedProgram();
-    }
-    static sim::ProgramCache cache;
-    std::string key = std::string(info.name) + "@" +
-                      std::to_string(opts.scaleFactor);
-    return cache.get(key,
-                     [&info, &opts] { return buildProgram(info, opts); });
+    return std::make_shared<const prog::Program>(
+        sim::buildGridProgram(opts.job(info, {})));
 }
 
 std::vector<sim::SimResult>
-runGrid(const Options &opts, std::vector<sim::SweepJob> jobs,
+runGrid(const Options &opts, std::vector<sim::GridJob> jobs,
         const std::string &title)
 {
     // Every bench has queried its flags by the time it has a grid to
     // run, so this is the natural choke point for typo rejection.
     opts.args.rejectUnknown();
 
+    sim::GridSpec spec{title, std::move(jobs)};
+    for (std::size_t i = 0; i < spec.jobs.size(); ++i)
+        spec.jobs[i].id = i;
+    spec.validate();
+
     if (!opts.emitGridPath.empty()) {
-        // Export instead of run: the same grid, as a portable spec the
-        // sweep farm executes with bit-identical results. Jobs built
-        // by buildProgramShared resolve to (registry name, harness
-        // scale, default seed); anything else cannot be spooled.
-        sim::GridSpec spec;
-        spec.title = title;
-        spec.jobs.reserve(jobs.size());
-        // Trace-backed jobs spool as trace_path points; map them by
-        // program identity (each ExternalTrace owns its program).
-        std::map<const prog::Program *, const TraceInput *> byProgram;
-        for (const TraceInput &ti : opts.traceInputs)
-            byProgram.emplace(&ti.trace->program(), &ti);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const sim::SweepJob &job = jobs[i];
-            sim::GridJob g;
-            g.id = i;
-            auto it = byProgram.find(job.program.get());
-            if (it != byProgram.end()) {
-                if (!job.annotate.empty())
-                    fatal("--emit-grid: job %zu annotates an external "
-                          "trace (hints are burned by the converter)",
-                          i);
-                g.workload = job.program->name();
-                g.scale = 1;
-                g.seed = 0;
-                g.tracePath = it->second->path;
-            } else {
-                const workloads::WorkloadInfo *info =
-                    workloads::find(job.program->name());
-                if (!info)
-                    fatal("--emit-grid: job %zu runs program '%s', "
-                          "which is not a registry workload",
-                          i, job.program->name().c_str());
-                g.workload = info->name;
-                double scaled =
-                    static_cast<double>(info->defaultScale) *
-                    opts.scaleFactor;
-                g.scale = scaled < 1.0
-                              ? 1
-                              : static_cast<std::uint64_t>(scaled);
-                g.seed = workloads::WorkloadParams{}.seed;
-            }
-            g.maxInsts = job.opts.maxInsts;
-            g.warmupInsts = job.opts.warmupInsts;
-            g.annotate = job.annotate;
-            g.engine = opts.engine;
-            if (opts.engine == sim::Engine::Sampled)
-                g.sampling = opts.sampling;
-            g.cfg = job.cfg;
-            spec.jobs.push_back(std::move(g));
-        }
-        spec.validate();
+        // Export instead of run: the same spec, which the sweep farm
+        // executes with bit-identical results.
         spec.writeFile(opts.emitGridPath);
         std::printf("Grid spec (%zu jobs) written to %s\n",
                     spec.jobs.size(), opts.emitGridPath.c_str());
         std::exit(0);
     }
 
-    // Jobs whose program came from a --trace-in input carry the
-    // decoded trace so the runner replays the recorded stream instead
-    // of tracing the reconstructed program.
-    std::map<const prog::Program *,
-             std::shared_ptr<const vm::ExternalTrace>>
-        traceByProgram;
-    for (const TraceInput &ti : opts.traceInputs)
-        traceByProgram.emplace(&ti.trace->program(), ti.trace);
-
-    for (sim::SweepJob &job : jobs) {
-        auto it = traceByProgram.find(job.program.get());
-        if (it != traceByProgram.end())
-            job.opts.externalTrace = it->second;
-        if (!opts.manifestPath.empty())
-            job.opts.captureManifest = true;
-        if (opts.cycleBudget != 0)
-            job.opts.maxCycles = opts.cycleBudget;
-        if (opts.wallBudget > 0)
-            job.opts.maxWallSeconds = opts.wallBudget;
-        if (opts.engine != sim::Engine::Auto) {
-            job.opts.engine = opts.engine;
-            if (opts.engine == sim::Engine::Sampled)
-                job.opts.sampling = opts.sampling;
-        }
-    }
-
-    if (opts.failFast) {
-        std::vector<sim::SimResult> results =
-            sim::SweepRunner::runAll(std::move(jobs), opts.jobs);
-        if (!opts.manifestPath.empty()) {
-            sim::writeSweepManifestFile(title, results,
-                                        opts.manifestPath);
-            std::printf("Sweep manifest written to %s\n",
-                        opts.manifestPath.c_str());
-        }
-        return results;
-    }
-
-    // Default: fault-isolating sweep. A failed point is quarantined
-    // and reported; the rest of the figure still comes out, and the
-    // manifest says exactly what is missing.
-    sim::SweepRunner runner(opts.jobs);
-    std::vector<std::pair<std::string, std::string>> points;
-    points.reserve(jobs.size());
-    for (sim::SweepJob &job : jobs) {
-        points.emplace_back(job.program->name(), job.cfg.notation());
-        runner.submit(std::move(job));
-    }
-    sim::SweepOutcome outcome = runner.collectOutcome();
+    // A failed point is quarantined and reported; the rest of the
+    // figure still comes out, and the manifest says exactly what is
+    // missing.
+    sim::SweepOutcome outcome = sim::farm::runSerial(
+        spec, opts.jobs, sim::RetryPolicy{}, opts.cycleBudget,
+        opts.wallBudget, opts.manifestPath);
     for (std::size_t i = 0; i < outcome.jobs.size(); ++i) {
         const sim::JobOutcome &jo = outcome.jobs[i];
+        const sim::GridJob &g = spec.jobs[i];
         if (jo.status == sim::JobStatus::Quarantined)
             warn("quarantined job %zu (%s %s) after %d attempt(s): "
                  "[%s] %s",
-                 i, points[i].first.c_str(), points[i].second.c_str(),
+                 i, g.workload.c_str(), g.cfg.notation().c_str(),
                  jo.attempts, jo.error.kind.c_str(),
                  jo.error.message.c_str());
         else if (jo.status == sim::JobStatus::Recovered)
             warn("job %zu (%s %s) recovered on attempt %d from: [%s]",
-                 i, points[i].first.c_str(), points[i].second.c_str(),
+                 i, g.workload.c_str(), g.cfg.notation().c_str(),
                  jo.attempts, jo.error.kind.c_str());
     }
     if (outcome.degraded)
         warn("sweep degraded: %zu of %zu jobs quarantined",
              outcome.numQuarantined, outcome.jobs.size());
-    if (!opts.manifestPath.empty()) {
-        sim::writeSweepManifestFile(title, outcome, opts.manifestPath);
+    if (!opts.manifestPath.empty())
         std::printf("Sweep manifest written to %s%s\n",
                     opts.manifestPath.c_str(),
                     outcome.degraded ? " (degraded)" : "");
-    }
+    if (opts.failFast && outcome.degraded)
+        std::exit(EXIT_FAILURE);
     return std::move(outcome.results);
 }
 

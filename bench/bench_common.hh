@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared harness for the bench binaries. Every bench regenerates one
- * table or figure of the paper: it selects workloads, builds them at
- * comparable dynamic lengths, sweeps machine configurations through
- * sim::SweepRunner and prints the same rows/series the paper reports,
+ * table or figure of the paper: it selects workloads, describes its
+ * grid of program x machine points as sim::GridJobs (Options::job),
+ * runs the grid through sim::farm::runSerial — the path `ddsweep
+ * serial` takes — and prints the same rows/series the paper reports,
  * plus a note stating what shape the paper observed.
  *
  * Common flags (all optional):
@@ -14,7 +15,9 @@
  *   --jobs=<n>       worker threads for the sweep (default: one per
  *                    hardware thread; results are identical for any n)
  *   --manifest=<f>   write a sweep-level JSON manifest (per-run config,
- *                    stats and provenance) to <f> after the grid runs
+ *                    stats and provenance) to <f> after the grid runs;
+ *                    byte-identical to `ddsweep serial` on the spec
+ *                    --emit-grid writes (docs/FARM.md)
  *   --emit-grid=<f>  write the exact job grid this invocation would
  *                    run as a portable ddsim-grid-v1 spec to <f> and
  *                    exit without simulating (the input of
@@ -30,12 +33,16 @@
  *                    --emit-grid, manifests), driven by its
  *                    recorded stream. Incompatible with --engine=live
  *                    (a trace has nothing to execute functionally)
+ *                    and with benches that annotate their programs
+ *                    (bench_static_classifier; the converter burned
+ *                    the trace's hints, and the grid spec check
+ *                    refuses such a grid before any job runs)
  *   --sample-period=<n> --sample-detail=<n> --sample-warmup=<n>
  *                    override the sampled engine's plan (defaults hold
  *                    every workload within 2% IPC error at --scale=1)
- *   --fail-fast      die on the first failed job (default: isolate it,
- *                    finish the rest of the grid, report a degraded
- *                    sweep)
+ *   --fail-fast      exit non-zero when any job was quarantined, once
+ *                    the rest of the grid and the manifest are written
+ *                    (default: report a degraded sweep and exit 0)
  *
  * Unrecognized "--option"s are fatal (see CliArgs::rejectUnknown);
  * wrappers that add their own keys can pass them after a bare "--".
@@ -50,8 +57,8 @@
 
 #include "config/cli.hh"
 #include "prog/program.hh"
+#include "sim/grid_spec.hh"
 #include "sim/runner.hh"
-#include "sim/sweep.hh"
 #include "sim/table.hh"
 #include "vm/xtrace.hh"
 #include "workloads/common.hh"
@@ -62,8 +69,8 @@ namespace ddsim::bench {
  * One --trace-in input, presented to benches as a pseudo-workload:
  * `info` joins Options::programs like any registry entry (its factory
  * is null — buildProgramShared resolves it to the trace's embedded
- * program instead), and runGrid stamps the decoded trace onto every
- * job built from it.
+ * program instead), and Options::job makes every grid point built
+ * from it a trace_path point.
  */
 struct TraceInput
 {
@@ -89,7 +96,8 @@ struct Options
     std::uint64_t cycleBudget = 0;
     /** Per-run wall-clock budget in seconds (0 = unlimited). */
     double wallBudget = 0.0;
-    /** Rethrow the first job failure instead of quarantining it. */
+    /** Exit non-zero when any job was quarantined (after the grid
+     *  and its manifest are written). */
     bool failFast = false;
     /** Execution engine applied to every job (--engine). */
     sim::Engine engine = sim::Engine::Auto;
@@ -110,35 +118,42 @@ struct Options
      *  workloads. */
     const TraceInput *
     traceFor(const workloads::WorkloadInfo &info) const;
+
+    /**
+     * The grid point that runs @p info on @p cfg: the registry
+     * workload at the harness-selected length (resolved scale and
+     * default seed) or the --trace-in file behind it, under --engine
+     * and, for the sampled engine, its plan.
+     */
+    sim::GridJob job(const workloads::WorkloadInfo &info,
+                     const config::MachineConfig &cfg) const;
 };
 
-/** Build one workload at the harness-selected length. */
-prog::Program buildProgram(const workloads::WorkloadInfo &info,
-                           const Options &opts);
-
 /**
- * Memoized variant of buildProgram: each workload is built once per
- * process and shared read-only by every sweep job that references it.
+ * Build the program a grid point of @p info runs (for a --trace-in
+ * input, the trace's embedded program), for benches that read the
+ * program itself rather than simulate it.
  */
 std::shared_ptr<const prog::Program>
 buildProgramShared(const workloads::WorkloadInfo &info,
                    const Options &opts);
 
 /**
- * Run a job grid through a SweepRunner sized by --jobs and return the
- * results in submission order. Rejects unrecognized CLI options first
- * (every bench queries its flags before building the grid). With
- * --manifest=<f>, every job captures a run manifest and the aggregate
- * sweep manifest is written to <f> under @p title.
+ * Run a grid and return the results in @p jobs order. Rejects
+ * unrecognized CLI options first (every bench queries its flags
+ * before building the grid), then numbers the jobs and validates the
+ * spec. With --emit-grid=<f> it writes the spec and exits; otherwise
+ * it runs the spec through sim::farm::runSerial on --jobs threads,
+ * which writes the sweep manifest to --manifest=<f> under @p title.
  *
- * Failure isolation (unless --fail-fast): a job that still fails
- * after transient-error retries is quarantined — its result slot is
- * default-constructed (zeros), the quarantine is reported on stderr,
- * and the sweep manifest is marked "degraded" with a per-job status
- * table. The rest of the grid always completes.
+ * Failure isolation: a job that still fails after transient-error
+ * retries is quarantined — its result slot is a flagged placeholder,
+ * the quarantine is reported on stderr, and the sweep manifest is
+ * marked "degraded". The rest of the grid always completes; only
+ * --fail-fast then turns a degraded sweep into a non-zero exit.
  */
 std::vector<sim::SimResult> runGrid(const Options &opts,
-                                    std::vector<sim::SweepJob> jobs,
+                                    std::vector<sim::GridJob> jobs,
                                     const std::string &title = "sweep");
 
 /** Geometric mean (of speedups/ratios). */

@@ -40,25 +40,25 @@ main(int argc, char **argv)
                       "(4+0)@3cyc", "(3+3)opt", "(2+2)opt lvc@2cyc"});
     std::vector<double> intD22, intD40s, fpD22, fpD40s;
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(2)});
-        jobs.push_back({program, config::decoupledOptimized(2, 2)});
-        jobs.push_back({program, config::baseline(4)});
+        jobs.push_back(opts.job(*info, config::baseline(2)));
+        jobs.push_back(opts.job(*info, config::decoupledOptimized(2, 2)));
+        jobs.push_back(opts.job(*info, config::baseline(4)));
 
         config::MachineConfig slow40 = config::baseline(4);
         slow40.l1.hitLatency = 3;
-        jobs.push_back({program, slow40});
+        jobs.push_back(opts.job(*info, slow40));
 
-        jobs.push_back({program, config::decoupledOptimized(3, 3)});
+        jobs.push_back(opts.job(*info, config::decoupledOptimized(3, 3)));
 
         config::MachineConfig slowLvc =
             config::decoupledOptimized(2, 2);
         slowLvc.lvc.hitLatency = 2;
-        jobs.push_back({program, slowLvc});
+        jobs.push_back(opts.job(*info, slowLvc));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 10 LVC latency sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 10 LVC latency sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

@@ -42,17 +42,17 @@ main(int argc, char **argv)
            ">25% gain from a 2-port LVC at N=2 for li-class; <2% at "
            "N=4; swim nearly flat");
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(2)});
+        jobs.push_back(opts.job(*info, config::baseline(2)));
         for (int n : {2, 3, 4})
             for (int m : {0, 1, 2, 3})
-                jobs.push_back(
-                    {program, m == 0 ? config::baseline(n)
-                                     : config::decoupledOptimized(n, m)});
+                jobs.push_back(opts.job(
+                    *info, m == 0 ? config::baseline(n)
+                                  : config::decoupledOptimized(n, m)));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 11 per-program sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 11 per-program sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

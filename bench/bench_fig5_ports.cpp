@@ -30,14 +30,14 @@ main(int argc, char **argv)
                       "(5+0)"});
     std::vector<std::vector<double>> rel(5);
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(16)});
+        jobs.push_back(opts.job(*info, config::baseline(16)));
         for (int p : ports)
-            jobs.push_back({program, config::baseline(p)});
+            jobs.push_back(opts.job(*info, config::baseline(p)));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 5 port sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 5 port sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

@@ -32,17 +32,17 @@ main(int argc, char **argv)
                       "L2 traffic vs (3+0)"});
     std::vector<double> missAt2k, missAt4k;
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(3)});
+        jobs.push_back(opts.job(*info, config::baseline(3)));
         for (std::uint32_t size : sizes) {
             config::MachineConfig cfg = config::decoupled(3, 4);
             cfg.lvc.sizeBytes = size;
-            jobs.push_back({program, cfg});
+            jobs.push_back(opts.job(*info, cfg));
         }
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 6 LVC size sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 6 LVC size sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

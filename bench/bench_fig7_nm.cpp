@@ -31,17 +31,17 @@ main(int argc, char **argv)
 
     // Submit the whole grid (per program: the (2+0) base plus the
     // 3x5 (N+M) matrix) and collect in submission order.
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(2)});
+        jobs.push_back(opts.job(*info, config::baseline(2)));
         for (int n : ns)
             for (int m : ms)
-                jobs.push_back({program,
-                                m == 0 ? config::baseline(n)
-                                       : config::decoupled(n, m)});
+                jobs.push_back(opts.job(
+                    *info, m == 0 ? config::baseline(n)
+                                  : config::decoupled(n, m)));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 7 (N+M) sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 7 (N+M) sweep");
 
     // Collect per-program relative performance, then print the
     // cross-program average matrix (as the paper's figure plots).

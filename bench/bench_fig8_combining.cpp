@@ -29,20 +29,20 @@ main(int argc, char **argv)
                       "(3+2) 2-way", "(3+2) 4-way"});
     std::vector<double> g31x2, g32x2;
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
         for (int lvcPorts : {1, 2}) {
-            jobs.push_back({program, config::decoupled(3, lvcPorts)});
+            jobs.push_back(opts.job(*info, config::decoupled(3, lvcPorts)));
             for (int degree : {2, 4}) {
                 config::MachineConfig cfg =
                     config::decoupled(3, lvcPorts);
                 cfg.combining = degree;
-                jobs.push_back({program, cfg});
+                jobs.push_back(opts.job(*info, cfg));
             }
         }
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 8 combining sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 8 combining sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

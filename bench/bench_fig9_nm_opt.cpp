@@ -34,17 +34,17 @@ main(int argc, char **argv)
     sim::Table perProg({"program", "(2+1)", "(2+2)", "(3+1)", "(3+2)",
                         "(4+1)", "(4+2)"});
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::baseline(2)});
+        jobs.push_back(opts.job(*info, config::baseline(2)));
         for (int n : ns)
             for (int m : ms)
-                jobs.push_back(
-                    {program, m == 0 ? config::baseline(n)
-                                     : config::decoupledOptimized(n, m)});
+                jobs.push_back(opts.job(
+                    *info, m == 0 ? config::baseline(n)
+                                  : config::decoupledOptimized(n, m)));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Figure 9 (N+M) optimized sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Figure 9 (N+M) optimized sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

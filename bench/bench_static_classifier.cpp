@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <memory>
 
 #include "analysis/annotate.hh"
 #include "bench_common.hh"
@@ -66,30 +65,19 @@ main(int argc, char **argv)
            "oracle (paper: ~99.9% accuracy from annotation + 1-bit "
            "predictor)");
 
-    // One analysis per workload feeds every annotated variant; the
-    // pass stats double as the static-coverage report below.
-    std::vector<sim::SweepJob> jobs;
+    // The grid annotates each policy's program itself (GridJob::
+    // annotate); the hybrid pass is rerun here only for its stats,
+    // which the static-coverage report below shows.
+    std::vector<sim::GridJob> jobs;
     std::map<std::string, analysis::AnnotateStats> passStats;
     for (const auto *info : opts.programs) {
-        auto base = buildProgramShared(*info, opts);
-        analysis::AnalysisResult ar = analysis::analyze(*base);
+        analysis::annotateProgram(*buildProgramShared(*info, opts),
+                                  analysis::HintPolicy::Hybrid,
+                                  &passStats[info->name]);
         for (const Policy &p : kPolicies) {
-            sim::SweepJob job;
-            if (p.annotate[0] == '\0') {
-                job.program = base;
-            } else {
-                analysis::AnnotateStats st;
-                job.program = std::make_shared<const prog::Program>(
-                    analysis::annotateProgram(
-                        *base, ar, *analysis::hintPolicyFromName(
-                            p.annotate), &st));
-                // Policies run in kPolicies order, so the stats kept
-                // are the hybrid pass's — the ones the coverage table
-                // below claims to report.
-                passStats[info->name] = st;
-            }
-            job.cfg = config::decoupledOptimized(3, 2);
-            job.cfg.classifier = p.kind;
+            config::MachineConfig cfg = config::decoupledOptimized(3, 2);
+            cfg.classifier = p.kind;
+            sim::GridJob job = opts.job(*info, cfg);
             job.annotate = p.annotate;
             jobs.push_back(std::move(job));
         }

@@ -31,15 +31,15 @@ main(int argc, char **argv)
                       "LVAQ-satisfied loads"});
     std::vector<double> speedups;
 
-    std::vector<sim::SweepJob> jobs;
+    std::vector<sim::GridJob> jobs;
     for (const auto *info : opts.programs) {
-        auto program = buildProgramShared(*info, opts);
-        jobs.push_back({program, config::decoupled(3, 2)});
+        jobs.push_back(opts.job(*info, config::decoupled(3, 2)));
         config::MachineConfig cfg = config::decoupled(3, 2);
         cfg.fastForward = true;
-        jobs.push_back({program, cfg});
+        jobs.push_back(opts.job(*info, cfg));
     }
-    std::vector<sim::SimResult> results = runGrid(opts, jobs, "Table 3 fast-forward sweep");
+    std::vector<sim::SimResult> results =
+        runGrid(opts, std::move(jobs), "Table 3 fast-forward sweep");
 
     std::size_t k = 0;
     for (const auto *info : opts.programs) {

@@ -59,7 +59,7 @@ main(int argc, char **argv)
             sweep.submit(program, cfg);
         }
     }
-    std::vector<sim::SimResult> results = sweep.collect();
+    std::vector<sim::SimResult> results = sweep.collectOutcome().results;
 
     sim::Table table({"", "M=0", "M=1", "M=2", "M=3", "M=4"});
     std::size_t k = 0;

@@ -10,8 +10,10 @@
  *   --manifest=<f>         write a JSON run manifest
  *   --trace=<f>            write a binary pipeline trace (see ddtrace)
  *   --sample=<f>           write interval stats (.json or .csv)
- *   --sample-interval=<n>  instructions between samples (default 10000)
- *   --sample-filter=<p,..> stat-path prefixes to sample (default: all)
+ *   --sample-interval=<n>  instructions between samples (default 10000;
+ *                          needs --sample, and 0 is refused)
+ *   --sample-filter=<p,..> stat-path prefixes to sample (default: all;
+ *                          needs --sample)
  *
  * Run supervision (see docs/ROBUSTNESS.md):
  *   --max-cycles=<n>       simulated-cycle budget (0 = unlimited)
@@ -40,6 +42,9 @@ main(int argc, char **argv)
     obsOpts.manifestPath = args.get("manifest");
     obsOpts.tracePath = args.get("trace");
     obsOpts.samplePath = args.get("sample");
+    for (const char *flag : {"sample-interval", "sample-filter"})
+        if (obsOpts.samplePath.empty() && args.has(flag))
+            fatal("--%s needs --sample=<f>", flag);
     if (!obsOpts.samplePath.empty())
         obsOpts.sampleInterval = static_cast<std::uint64_t>(
             args.getInt("sample-interval", 10000));

@@ -16,12 +16,12 @@ using isa::OpCode;
 namespace reg = isa::reg;
 
 const char *
-verdictName(Verdict v)
+verdictName(isa::Verdict v)
 {
     switch (v) {
-      case Verdict::Local: return "local";
-      case Verdict::NonLocal: return "nonlocal";
-      case Verdict::Ambiguous: return "ambiguous";
+      case isa::Verdict::Local: return "local";
+      case isa::Verdict::NonLocal: return "nonlocal";
+      case isa::Verdict::Ambiguous: return "ambiguous";
     }
     return "?";
 }
@@ -38,12 +38,12 @@ severityName(Severity s)
 }
 
 void
-Mix::add(Verdict v)
+Mix::add(isa::Verdict v)
 {
     switch (v) {
-      case Verdict::Local: ++local; break;
-      case Verdict::NonLocal: ++nonLocal; break;
-      case Verdict::Ambiguous: ++ambiguous; break;
+      case isa::Verdict::Local: ++local; break;
+      case isa::Verdict::NonLocal: ++nonLocal; break;
+      case isa::Verdict::Ambiguous: ++ambiguous; break;
     }
 }
 
@@ -271,17 +271,17 @@ FunctionAnalyzer::checkMem(const RegState &state, const Inst &inst,
     acc.annotatedLocal = inst.localHint;
 
     if (base.isStackOff()) {
-        acc.verdict = Verdict::Local;
+        acc.verdict = isa::Verdict::Local;
         acc.spOffset = base.n + inst.imm;
         acc.spOffsetKnown = true;
     } else if (base.isConst()) {
         acc.verdict =
             layout::isStackAddr(base.word() +
                                 static_cast<Word>(inst.imm))
-                ? Verdict::Local
-                : Verdict::NonLocal;
+                ? isa::Verdict::Local
+                : isa::Verdict::NonLocal;
     } else if (base.kind == ValueKind::NonStack) {
-        acc.verdict = Verdict::NonLocal;
+        acc.verdict = isa::Verdict::NonLocal;
     } else if (base.kind == ValueKind::StackDerived) {
         // Rooted-pointer assumption (value.hh): arithmetic rooted at
         // sp stays inside the stack region, so a stack-derived base
@@ -289,9 +289,9 @@ FunctionAnalyzer::checkMem(const RegState &state, const Inst &inst,
         // forfeits the exact-offset frame checks below. The Oracle
         // cross-check in tests/test_analysis.cpp validates this
         // dynamically on every workload.
-        acc.verdict = Verdict::Local;
+        acc.verdict = isa::Verdict::Local;
     } else {
-        acc.verdict = Verdict::Ambiguous;
+        acc.verdict = isa::Verdict::Ambiguous;
     }
 
     if (acc.spOffsetKnown) {
@@ -310,12 +310,12 @@ FunctionAnalyzer::checkMem(const RegState &state, const Inst &inst,
                         off, dis(idx).c_str()));
     }
 
-    if (acc.annotatedLocal && acc.verdict == Verdict::NonLocal)
+    if (acc.annotatedLocal && acc.verdict == isa::Verdict::NonLocal)
         diag(Severity::Error, "annotation-local-but-nonlocal", idx,
              format("annotated !local but provably non-local "
                     "(base %s): %s",
                     base.str().c_str(), dis(idx).c_str()));
-    else if (!acc.annotatedLocal && acc.verdict == Verdict::Local)
+    else if (!acc.annotatedLocal && acc.verdict == isa::Verdict::Local)
         diag(Severity::Warning, "annotation-missing-local", idx,
              format("provably local but not annotated !local: %s",
                     dis(idx).c_str()));
@@ -487,7 +487,7 @@ analyze(const prog::Program &prog)
             auto [it, inserted] =
                 res.verdicts.emplace(acc.instIdx, acc.verdict);
             if (!inserted && it->second != acc.verdict)
-                it->second = Verdict::Ambiguous;
+                it->second = isa::Verdict::Ambiguous;
         }
 
     for (const auto &[idx, verdict] : res.verdicts)

@@ -44,19 +44,12 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/value.hh"
+#include "isa/inst.hh"
 #include "prog/program.hh"
 
 namespace ddsim::analysis {
 
-/** Static classification of one memory instruction. */
-enum class Verdict : std::uint8_t
-{
-    Local,      ///< Provably a stack (local-variable) access.
-    NonLocal,   ///< Provably not a stack access.
-    Ambiguous,  ///< The analysis cannot decide.
-};
-
-const char *verdictName(Verdict v);
+const char *verdictName(isa::Verdict v);
 
 enum class Severity : std::uint8_t { Note, Warning, Error };
 
@@ -76,7 +69,7 @@ struct Diagnostic
 struct MemAccess
 {
     std::size_t instIdx = 0;
-    Verdict verdict = Verdict::Ambiguous;
+    isa::Verdict verdict = isa::Verdict::Ambiguous;
     bool load = false;          ///< Load if true, store otherwise.
     bool annotatedLocal = false;///< The instruction's localHint bit.
     /** Byte offset of the access from the entry sp, when exact. */
@@ -105,7 +98,7 @@ struct Mix
     std::size_t ambiguous = 0;
 
     std::size_t total() const { return local + nonLocal + ambiguous; }
-    void add(Verdict v);
+    void add(isa::Verdict v);
 };
 
 /** Whole-program analysis results. */
@@ -118,7 +111,7 @@ struct AnalysisResult
      * Per-instruction verdicts, joined across functions when code is
      * shared: conflicting verdicts degrade to Ambiguous.
      */
-    std::map<std::size_t, Verdict> verdicts;
+    std::map<std::size_t, isa::Verdict> verdicts;
     Mix loads;
     Mix stores;
 

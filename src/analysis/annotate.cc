@@ -40,13 +40,13 @@ annotateProgram(const prog::Program &prog, const AnalysisResult &res,
 
         bool hint = inst.localHint;
         switch (verdict) {
-          case Verdict::Local:
+          case isa::Verdict::Local:
             hint = true;
             break;
-          case Verdict::NonLocal:
+          case isa::Verdict::NonLocal:
             hint = false;
             break;
-          case Verdict::Ambiguous:
+          case isa::Verdict::Ambiguous:
             ++st.ambiguous;
             if (policy == HintPolicy::Safe)
                 hint = false;

@@ -178,31 +178,6 @@ CliArgs::rejectUnknown() const
     }
 }
 
-namespace {
-
-ClassifierKind
-parseClassifier(const std::string &s)
-{
-    std::string v = toLower(s);
-    if (v == "none")
-        return ClassifierKind::None;
-    if (v == "annotation")
-        return ClassifierKind::Annotation;
-    if (v == "spbase")
-        return ClassifierKind::SpBase;
-    if (v == "oracle")
-        return ClassifierKind::Oracle;
-    if (v == "predictor")
-        return ClassifierKind::Predictor;
-    if (v == "replicate")
-        return ClassifierKind::Replicate;
-    if (v == "statichybrid")
-        return ClassifierKind::StaticHybrid;
-    fatal("unknown classifier '%s'", s.c_str());
-}
-
-} // namespace
-
 void
 applyOverrides(MachineConfig &cfg, const CliArgs &args)
 {
@@ -245,7 +220,8 @@ applyOverrides(MachineConfig &cfg, const CliArgs &args)
     if (args.has("lvc"))
         cfg.lvcEnabled = args.getBool("lvc");
     if (args.has("classifier"))
-        cfg.classifier = parseClassifier(args.get("classifier"));
+        cfg.classifier =
+            classifierFromName(toLower(args.get("classifier")));
     if (args.has("fastfwd"))
         cfg.fastForward = args.getBool("fastfwd");
     intOpt("combining", cfg.combining);

@@ -1,6 +1,7 @@
 #include "config/machine_config.hh"
 
 #include "util/log.hh"
+#include "util/str.hh"
 
 namespace ddsim::config {
 
@@ -17,6 +18,30 @@ classifierName(ClassifierKind kind)
       case ClassifierKind::StaticHybrid: return "statichybrid";
     }
     return "?";
+}
+
+ClassifierKind
+classifierFromName(const std::string &name)
+{
+    std::string best;
+    std::size_t bestDist = 4;
+    // ClassifierKind is dense: None first, StaticHybrid last.
+    for (int i = 0; i <= static_cast<int>(ClassifierKind::StaticHybrid);
+         ++i) {
+        auto kind = static_cast<ClassifierKind>(i);
+        std::string canon = classifierName(kind);
+        if (name == canon)
+            return kind;
+        std::size_t d = editDistance(name, canon);
+        if (d < bestDist) {
+            bestDist = d;
+            best = canon;
+        }
+    }
+    std::string msg = format("unknown classifier '%s'", name.c_str());
+    if (!best.empty())
+        msg += format(" (did you mean '%s'?)", best.c_str());
+    raise(ConfigError("classifier", msg));
 }
 
 std::string

@@ -59,6 +59,13 @@ enum class ClassifierKind : std::uint8_t
 
 const char *classifierName(ClassifierKind kind);
 
+/**
+ * Parse a classifier name as classifierName spells it. Unknown names
+ * raise ConfigError("classifier", ...) with a did-you-mean suggestion
+ * when one is close enough.
+ */
+ClassifierKind classifierFromName(const std::string &name);
+
 /** Complete machine description. Defaults = Table 1. */
 struct MachineConfig
 {

@@ -21,7 +21,7 @@ Classifier::Classifier(stats::Group *parent, config::ClassifierKind kind,
 }
 
 void
-Classifier::setStaticVerdicts(std::vector<StaticVerdict> table)
+Classifier::setStaticVerdicts(std::vector<isa::Verdict> table)
 {
     verdicts = std::move(table);
 }

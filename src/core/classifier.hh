@@ -26,6 +26,7 @@
 
 #include "config/machine_config.hh"
 #include "core/region_predictor.hh"
+#include "isa/inst.hh"
 #include "stats/group.hh"
 #include "stats/stat.hh"
 #include "vm/trace.hh"
@@ -37,19 +38,6 @@ enum class Stream : std::uint8_t
 {
     Lsq,    ///< Non-local: conventional load/store queue + L1 D-cache.
     Lvaq,   ///< Local: local variable access queue + LVC.
-};
-
-/**
- * One per-pc entry of the static verdict table consumed by
- * ClassifierKind::StaticHybrid — the hardware-facing mirror of
- * analysis::Verdict (core does not depend on the analyzer; the runner
- * translates).
- */
-enum class StaticVerdict : std::uint8_t
-{
-    Ambiguous,  ///< No static decision: consult the region predictor.
-    Local,      ///< Statically proven local: steer to the LVAQ.
-    NonLocal,   ///< Statically proven non-local: steer to the LSQ.
 };
 
 /** Dispatch-time memory stream classifier. */
@@ -124,7 +112,7 @@ class Classifier : public stats::Group
      * table, and programs with no table at all, classify as
      * Ambiguous — the predictor carries them.
      */
-    void setStaticVerdicts(std::vector<StaticVerdict> table);
+    void setStaticVerdicts(std::vector<isa::Verdict> table);
 
     double accuracy() const;
 
@@ -172,17 +160,17 @@ class Classifier : public stats::Group
             // Decided verdicts steer outright; only the Ambiguous
             // remainder pays for (and trains) the region predictor.
             switch (verdictAt(pcIdx)) {
-              case StaticVerdict::Local:
+              case isa::Verdict::Local:
                 local = true;
                 if (count)
                     ++staticDecided;
                 break;
-              case StaticVerdict::NonLocal:
+              case isa::Verdict::NonLocal:
                 local = false;
                 if (count)
                     ++staticDecided;
                 break;
-              case StaticVerdict::Ambiguous:
+              case isa::Verdict::Ambiguous:
                 local = predictor->predictLocal(pcIdx, inst.localHint);
                 break;
             }
@@ -201,19 +189,19 @@ class Classifier : public stats::Group
         // them write entries would pollute aliased Ambiguous slots.
         return predictor &&
                (classifierKind != config::ClassifierKind::StaticHybrid ||
-                verdictAt(pcIdx) == StaticVerdict::Ambiguous);
+                verdictAt(pcIdx) == isa::Verdict::Ambiguous);
     }
 
-    StaticVerdict verdictAt(std::uint64_t pcIdx) const
+    isa::Verdict verdictAt(std::uint64_t pcIdx) const
     {
         return pcIdx < verdicts.size()
                    ? verdicts[static_cast<std::size_t>(pcIdx)]
-                   : StaticVerdict::Ambiguous;
+                   : isa::Verdict::Ambiguous;
     }
 
     config::ClassifierKind classifierKind;
     std::unique_ptr<RegionPredictor> predictor;
-    std::vector<StaticVerdict> verdicts;
+    std::vector<isa::Verdict> verdicts;
 };
 
 } // namespace ddsim::core

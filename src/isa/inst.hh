@@ -16,6 +16,20 @@
 
 namespace ddsim::isa {
 
+/**
+ * Static classification of one memory instruction: what the analyzer
+ * proves about it (analysis::analyze), what an external trace's
+ * ingest pass observed (vm::ExternalTrace::verdicts), and the per-pc
+ * table ClassifierKind::StaticHybrid steers by. Inst::localHint is the
+ * one-bit form a compiler annotation burns into the encoding.
+ */
+enum class Verdict : std::uint8_t
+{
+    Ambiguous,  ///< Undecided: the hybrid classifier asks its predictor.
+    Local,      ///< A stack (local-variable) access: steer to the LVAQ.
+    NonLocal,   ///< Not a stack access: steer to the LSQ.
+};
+
 /** A decoded instruction. */
 struct Inst
 {

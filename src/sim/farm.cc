@@ -47,13 +47,13 @@ programKey(const GridJob &job)
 }
 
 /**
- * The one GridJob -> SweepJob mapping. Farm workers and the serial
- * reference both build a point here, so they cannot drift apart —
- * byte-identical merges depend on it. A worker adds only its
- * blackboxPath (runJob adds the shared trace). The program is the
- * decoded external trace when the point names one (loadCached, so one
- * worker process decodes each file once), the registry build
- * otherwise.
+ * The one GridJob -> SweepJob mapping. Farm workers and runSerial
+ * (the benches and `ddsweep serial`) all build a point here, so they
+ * cannot drift apart — byte-identical merges depend on it. A worker
+ * adds only its blackboxPath (runJob adds the shared trace). The
+ * program is the decoded external trace when the point names one
+ * (loadCached, so one worker process decodes each file once), the
+ * registry build otherwise.
  */
 SweepJob
 gridSweepJob(const GridJob &job, ProgramCache &programs,
@@ -939,7 +939,7 @@ runWorker(const std::string &root, const WorkerOptions &opts)
                                        opts.wallBudget);
             sj.opts.blackboxPath =
                 sp.blackboxDir() + "/" + Spool::blackboxFileName(job.id);
-            run = runJob(std::move(sj), &traces, opts.retry);
+            run = runJob(std::move(sj), traces, opts.retry);
         } catch (...) {
             // The point could not be set up (grid.json unreadable, id
             // out of range, unknown workload, unreadable trace):

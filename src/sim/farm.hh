@@ -265,14 +265,13 @@ std::size_t runWorker(const std::string &root,
 
 /**
  * Merge a complete spool into (a) @p mergedPath — a
- * ddsim-sweep-manifest-v1 document byte-identical to what a
- * single-process SweepRunner::collectOutcome over the same grid would
- * produce, and (b) @p farmManifestPath — a ddsim-farm-manifest-v1
- * document recording shard/worker provenance per job (empty path =
- * skip). Every record and manifest is CRC-verified before splicing;
- * damaged artifacts are moved to corrupt/ and CorruptArtifactError
- * raised (resume the spool to re-run those points). Raises FatalError
- * when any grid point lacks a result.
+ * ddsim-sweep-manifest-v1 document byte-identical to what runSerial
+ * over the same grid would produce, and (b) @p farmManifestPath — a
+ * ddsim-farm-manifest-v1 document recording shard/worker provenance
+ * per job (empty path = skip). Every record and manifest is
+ * CRC-verified before splicing; damaged artifacts are moved to
+ * corrupt/ and CorruptArtifactError raised (resume the spool to re-run
+ * those points). Raises FatalError when any grid point lacks a result.
  */
 void mergeSpool(const std::string &root, const std::string &mergedPath,
                 const std::string &farmManifestPath);
@@ -314,11 +313,14 @@ SpoolStatus superviseFarm(const std::string &root,
                           const SupervisorOptions &opts);
 
 /**
- * The uninterrupted single-process reference: run @p spec through one
- * SweepRunner (canonical manifests, shared traces) and, when
- * @p mergedPath is non-empty, write the sweep manifest there. This is
- * the document a farm run's merged manifest must be byte-identical
- * to.
+ * The uninterrupted single-process reference and the one in-process
+ * grid path: run @p spec through one SweepRunner (canonical manifests,
+ * shared traces) and, when @p mergedPath is non-empty, write the sweep
+ * manifest there. Every bench's grid (bench::runGrid) and `ddsweep
+ * serial` run here, and each point goes through the GridJob ->
+ * SweepJob mapping farm workers use. So a bench's --manifest, `ddsweep
+ * serial` on its --emit-grid and a farm merge of it are one document,
+ * byte for byte.
  */
 SweepOutcome runSerial(const GridSpec &spec, unsigned workers,
                        const RetryPolicy &retry,

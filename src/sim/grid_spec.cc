@@ -15,23 +15,6 @@ namespace ddsim::sim {
 
 namespace {
 
-config::ClassifierKind
-classifierFromName(const std::string &name)
-{
-    using config::ClassifierKind;
-    for (ClassifierKind k :
-         {ClassifierKind::None, ClassifierKind::Annotation,
-          ClassifierKind::SpBase, ClassifierKind::Oracle,
-          ClassifierKind::Predictor, ClassifierKind::Replicate,
-          ClassifierKind::StaticHybrid}) {
-        if (name == config::classifierName(k))
-            return k;
-    }
-    raise(ConfigError("classifier",
-                      format("unknown classifier '%s' in grid spec",
-                             name.c_str())));
-}
-
 config::CacheParams
 cacheParamsFromJson(const JsonValue &v, const std::string &what)
 {
@@ -85,7 +68,7 @@ machineConfigFromJson(const JsonValue &v)
     cfg.lvc = cacheParamsFromJson(v.at("lvc", w), w + ".lvc");
     cfg.l2 = cacheParamsFromJson(v.at("l2", w), w + ".l2");
     cfg.memLatency = v.at("mem_latency", w).asUint(w + ".mem_latency");
-    cfg.classifier = classifierFromName(
+    cfg.classifier = config::classifierFromName(
         v.at("classifier", w).asString(w + ".classifier"));
     cfg.fastForward =
         v.at("fast_forward", w).asBool(w + ".fast_forward");

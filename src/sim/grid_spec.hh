@@ -1,11 +1,12 @@
 /**
  * @file
  * "ddsim-grid-v1": the portable description of a sweep grid. Every
- * figure bench can export the exact job list it would run as one JSON
- * document (bench --emit-grid=<f>), and the sweep farm (sim/farm.hh,
- * tools/ddsweep) can execute that document anywhere — in-process, or
- * spooled across worker processes — reproducing the bench's results
- * bit-for-bit.
+ * figure bench builds its grid as one of these specs and runs it
+ * in-process through sim::farm::runSerial; --emit-grid=<f> writes the
+ * same spec as one JSON document instead, and the sweep farm
+ * (sim/farm.hh, tools/ddsweep) can execute it anywhere — in-process,
+ * or spooled across worker processes — reproducing the bench's
+ * results bit-for-bit.
  *
  * A grid point is fully self-describing: registry workload name, the
  * resolved generator scale and seed (not the bench's --scale factor,

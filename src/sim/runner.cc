@@ -119,53 +119,31 @@ probeFaults(const prog::Program &program,
  * the classifier consumes. The analysis is deterministic, so live
  * execution, trace replay and farm workers all see the same table.
  */
-std::vector<core::StaticVerdict>
+std::vector<isa::Verdict>
 staticVerdictTable(const prog::Program &program)
 {
     analysis::AnalysisResult ar = analysis::analyze(program);
-    std::vector<core::StaticVerdict> table(
-        program.textSize(), core::StaticVerdict::Ambiguous);
+    std::vector<isa::Verdict> table(program.textSize(),
+                                    isa::Verdict::Ambiguous);
     for (const auto &[idx, v] : ar.verdicts)
-        table[idx] = v == analysis::Verdict::Local
-                         ? core::StaticVerdict::Local
-                     : v == analysis::Verdict::NonLocal
-                         ? core::StaticVerdict::NonLocal
-                         : core::StaticVerdict::Ambiguous;
+        table[idx] = v;
     return table;
 }
 
-// vm cannot depend on core, so the annotation pass publishes
-// vm::XVerdict and the runner translates by numeric value. Pin the
-// mirror here, where both headers are visible.
-static_assert(static_cast<int>(vm::XVerdict::Ambiguous) ==
-                  static_cast<int>(core::StaticVerdict::Ambiguous) &&
-              static_cast<int>(vm::XVerdict::Local) ==
-                  static_cast<int>(core::StaticVerdict::Local) &&
-              static_cast<int>(vm::XVerdict::NonLocal) ==
-                  static_cast<int>(core::StaticVerdict::NonLocal),
-              "XVerdict must mirror StaticVerdict value-for-value");
-
-/**
- * The ingested-stream counterpart of staticVerdictTable: the
- * annotation pass ran once at ingest (over the real dynamic stream,
- * which the ddlint analysis of the reconstructed text cannot see), so
- * the table is a straight per-value translation.
- */
-std::vector<core::StaticVerdict>
-externalVerdictTable(const vm::ExternalTrace &xt)
-{
-    const std::vector<vm::XVerdict> &xv = xt.verdicts();
-    std::vector<core::StaticVerdict> table(xv.size());
-    for (std::size_t i = 0; i < xv.size(); ++i)
-        table[i] = static_cast<core::StaticVerdict>(xv[i]);
-    return table;
-}
-
-/** The option checks that need no machine state: the sampled
- *  engine's plan and limits, then the external-trace rules. */
+/** The option checks that need no machine state: the interval
+ *  sampler's options, the sampled engine's plan and limits, then the
+ *  external-trace rules. */
 void
 checkOptions(const RunOptions &opts)
 {
+    // A sample file or filter with the sampler off would be silently
+    // ignored. An interval without a file is legal: the sampler still
+    // runs.
+    if (opts.sampleInterval == 0 &&
+        (!opts.samplePath.empty() || !opts.sampleFilter.empty()))
+        raise(ConfigError("sample_interval",
+                          "a sample path or filter needs a non-zero "
+                          "sample interval (0 turns the sampler off)"));
     if (opts.engine == Engine::Sampled) {
         const SamplingPlan &sp = opts.sampling;
         if (sp.period == 0 || sp.detail == 0)
@@ -314,11 +292,13 @@ class RunSession
                     : exec.emplace(program)),
           pipe(&root, cfg, src)
     {
+        // An external trace brings the verdicts its ingest pass drew
+        // from the real dynamic stream, which an analysis of the
+        // reconstructed text cannot see.
         if (cfg.classifier == config::ClassifierKind::StaticHybrid)
             pipe.classifier().setStaticVerdicts(
-                opts.externalTrace
-                    ? externalVerdictTable(*opts.externalTrace)
-                    : staticVerdictTable(program));
+                opts.externalTrace ? opts.externalTrace->verdicts()
+                                   : staticVerdictTable(program));
         if (!opts.blackboxPath.empty())
             pipe.enableCommitLog(kBlackboxCommits);
         if (opts.maxCycles != 0 || opts.maxWallSeconds > 0)

@@ -70,15 +70,14 @@ SweepRunner::~SweepRunner()
 }
 
 JobRun
-runJob(SweepJob job, TraceCache *traces, const RetryPolicy &policy)
+runJob(SweepJob job, TraceCache &traces, const RetryPolicy &policy)
 {
     // A job replays the shared recording only if it brings no stream
     // of its own (recording an external trace's reconstructed program
     // would be wrong) and its engine replays: the live engine would
     // ignore the trace, so fetching one would only execute the
     // program an extra time.
-    const bool share = traces && !job.opts.trace &&
-                       !job.opts.externalTrace &&
+    const bool share = !job.opts.trace && !job.opts.externalTrace &&
                        job.opts.engine != Engine::Live;
     // Bounded retry with exponential backoff. Only transiently
     // classified failures retry; simulation is deterministic, so
@@ -91,7 +90,7 @@ runJob(SweepJob job, TraceCache *traces, const RetryPolicy &policy)
         try {
             if (share)
                 job.opts.trace =
-                    traces->get(job.program, fetchCap(job.opts));
+                    traces.get(job.program, fetchCap(job.opts));
             jr.result = run(*job.program, job.cfg, job.opts);
             jr.outcome.status =
                 attempt > 1 ? JobStatus::Recovered : JobStatus::Ok;
@@ -126,10 +125,10 @@ SweepRunner::submit(SweepJob job)
     // Trace resolution runs on the worker, not here: the first job to
     // reach a program records its trace while workers on other
     // programs keep simulating.
-    TraceCache *tc = shareTraces ? &traces : nullptr;
     RetryPolicy policy = retryPolicy;
-    pool.submit([slot, tc, policy, job = std::move(job)]() mutable {
-        *slot = runJob(std::move(job), tc, policy);
+    pool.submit([slot, &traces = traces, policy,
+                 job = std::move(job)]() mutable {
+        *slot = runJob(std::move(job), traces, policy);
     });
     return index;
 }
@@ -140,24 +139,6 @@ SweepRunner::submit(std::shared_ptr<const prog::Program> program,
                     const RunOptions &opts)
 {
     return submit(SweepJob{std::move(program), cfg, opts});
-}
-
-std::vector<SimResult>
-SweepRunner::collect()
-{
-    pool.wait();
-    std::vector<SimResult> results;
-    results.reserve(slots.size());
-    std::exception_ptr firstError;
-    for (JobRun &slot : slots) {
-        if (slot.failure && !firstError)
-            firstError = slot.failure;
-        results.push_back(std::move(slot.result));
-    }
-    slots.clear();
-    if (firstError)
-        std::rethrow_exception(firstError);
-    return results;
 }
 
 void
@@ -188,23 +169,9 @@ SweepRunner::collectOutcome()
     return out;
 }
 
-std::vector<SimResult>
-SweepRunner::runAll(std::vector<SweepJob> jobs, unsigned workers)
-{
-    SweepRunner runner(workers);
-    for (SweepJob &job : jobs)
-        runner.submit(std::move(job));
-    return runner.collect();
-}
-
-namespace {
-
 void
-writeSweepManifestDoc(const std::string &title,
-                      const std::vector<SimResult> &results,
-                      const std::vector<JobOutcome> *jobs,
-                      bool degraded, std::size_t numQuarantined,
-                      std::size_t numRecovered, std::ostream &os)
+writeSweepManifest(const std::string &title, const SweepOutcome &outcome,
+                   std::ostream &os)
 {
     JsonWriter w(os);
     w.beginObject();
@@ -216,30 +183,28 @@ writeSweepManifestDoc(const std::string &title,
     w.field("version", obs::simulatorVersion());
     w.field("git", obs::gitDescribe());
     w.endObject();
-    w.field("num_runs", static_cast<std::uint64_t>(results.size()));
-    if (jobs) {
-        w.field("degraded", degraded);
-        w.field("num_quarantined",
-                static_cast<std::uint64_t>(numQuarantined));
-        w.field("num_recovered",
-                static_cast<std::uint64_t>(numRecovered));
-        w.key("jobs");
-        w.beginArray();
-        for (std::size_t i = 0; i < jobs->size(); ++i) {
-            const JobOutcome &jo = (*jobs)[i];
-            w.beginObject();
-            w.field("index", static_cast<std::uint64_t>(i));
-            w.field("status", jobStatusName(jo.status));
-            w.field("attempts",
-                    static_cast<std::uint64_t>(jo.attempts));
-            writeErrorField(w, jo.error);
-            w.endObject();
-        }
-        w.endArray();
+    w.field("num_runs",
+            static_cast<std::uint64_t>(outcome.results.size()));
+    w.field("degraded", outcome.degraded);
+    w.field("num_quarantined",
+            static_cast<std::uint64_t>(outcome.numQuarantined));
+    w.field("num_recovered",
+            static_cast<std::uint64_t>(outcome.numRecovered));
+    w.key("jobs");
+    w.beginArray();
+    for (std::size_t i = 0; i < outcome.jobs.size(); ++i) {
+        const JobOutcome &jo = outcome.jobs[i];
+        w.beginObject();
+        w.field("index", static_cast<std::uint64_t>(i));
+        w.field("status", jobStatusName(jo.status));
+        w.field("attempts", static_cast<std::uint64_t>(jo.attempts));
+        writeErrorField(w, jo.error);
+        w.endObject();
     }
+    w.endArray();
     w.key("runs");
     w.beginArray();
-    for (const SimResult &r : results) {
+    for (const SimResult &r : outcome.results) {
         if (r.manifestJson.empty())
             w.valueNull();
         else
@@ -248,35 +213,6 @@ writeSweepManifestDoc(const std::string &title,
     w.endArray();
     w.endObject();
     os << '\n';
-}
-
-} // namespace
-
-void
-writeSweepManifest(const std::string &title,
-                   const std::vector<SimResult> &results,
-                   std::ostream &os)
-{
-    writeSweepManifestDoc(title, results, nullptr, false, 0, 0, os);
-}
-
-void
-writeSweepManifest(const std::string &title, const SweepOutcome &outcome,
-                   std::ostream &os)
-{
-    writeSweepManifestDoc(title, outcome.results, &outcome.jobs,
-                          outcome.degraded, outcome.numQuarantined,
-                          outcome.numRecovered, os);
-}
-
-void
-writeSweepManifestFile(const std::string &title,
-                       const std::vector<SimResult> &results,
-                       const std::string &path)
-{
-    AtomicFile file(path);
-    writeSweepManifest(title, results, file.stream());
-    file.commit();
 }
 
 void

@@ -7,7 +7,8 @@
  * programs x machine configurations — and simulation is deterministic,
  * so the grid can saturate all cores while producing results that are
  * bit-identical to a serial loop in submission order. SweepRunner is
- * the engine behind every bench binary's --jobs flag.
+ * the engine behind farm::runSerial, which runs every bench binary's
+ * grid (its --jobs flag) and `ddsweep serial`.
  *
  * Determinism guarantee: for a given (program, config, options) job,
  * the SimResult is a pure function of its inputs. Worker count and
@@ -143,13 +144,6 @@ struct SweepJob
     std::shared_ptr<const prog::Program> program;
     config::MachineConfig cfg;
     RunOptions opts{};
-    /**
-     * Provenance for --emit-grid: the HintPolicy name this job's
-     * program was annotated with ("" = stock registry program). The
-     * program above already carries the rewritten hint bits; this
-     * string only lets the exported GridJob reproduce them.
-     */
-    std::string annotate{};
 };
 
 /**
@@ -230,13 +224,13 @@ struct JobRun
  * SweepRunner's threads and the farm's workers (docs/ROBUSTNESS.md,
  * "Sweep failure isolation"). Each attempt first fetches the job's
  * shared recording from @p traces when the job replays one and brings
- * no stream of its own (null = never share), then calls sim::run.
+ * no stream of its own, then calls sim::run.
  * A failure is classified (classifyError): a transient one backs off
  * and retries while attempts remain; anything else quarantines the
  * job. Never throws — pool tasks must not — so the caller decides what
  * a captured failure means.
  */
-JobRun runJob(SweepJob job, TraceCache *traces,
+JobRun runJob(SweepJob job, TraceCache &traces,
               const RetryPolicy &policy);
 
 /**
@@ -258,7 +252,7 @@ class SweepRunner
     /**
      * Enqueue one job; execution may begin immediately on an idle
      * worker. @return the job's submission index, which is also its
-     * index in the vector collect() returns.
+     * index in collectOutcome()'s results.
      */
     std::size_t submit(SweepJob job);
     std::size_t submit(std::shared_ptr<const prog::Program> program,
@@ -266,22 +260,13 @@ class SweepRunner
                        const RunOptions &opts = {});
 
     /**
-     * Block until every submitted job has finished and return their
-     * SimResults in submission order. If any job threw, the exception
-     * of the lowest-indexed failed job is rethrown (after all jobs
-     * have finished). Resets the runner: after collect() the next
+     * Block until every job has finished (transient failures having
+     * been retried per the RetryPolicy on the workers), then return
+     * the results in submission order plus the per-job status table.
+     * A failed job is quarantined — its result slot is a flagged
+     * placeholder and the sweep is marked degraded — and never takes
+     * the rest of the grid down with it. Resets the runner: the next
      * submit() starts a fresh grid at index 0.
-     */
-    std::vector<SimResult> collect();
-
-    /**
-     * Fault-isolating collection: block until every job has finished
-     * (transient failures having been retried per the RetryPolicy on
-     * the workers), then return all results plus the per-job status
-     * table instead of throwing. A failed job is quarantined — its
-     * result slot is default-constructed and the sweep is marked
-     * degraded — and never takes the rest of the grid down with it.
-     * Resets the runner like collect().
      */
     SweepOutcome collectOutcome();
 
@@ -290,24 +275,11 @@ class SweepRunner
      *  after the call. */
     void setRetryPolicy(const RetryPolicy &p) { retryPolicy = p; }
 
-    /** Jobs submitted since the last collect(). */
+    /** Jobs submitted since the last collectOutcome(). */
     std::size_t pending() const { return slots.size(); }
 
     /** Number of worker threads. */
     unsigned workers() const { return pool.size(); }
-
-    /** Convenience: run a whole grid and collect in one call. */
-    static std::vector<SimResult> runAll(std::vector<SweepJob> jobs,
-                                         unsigned workers = 0);
-
-    /**
-     * Share one recorded dynamic trace per (program, fetch-cap) across
-     * all jobs that replay one (see runJob; on by default).
-     * The first worker to touch a program records it; the rest
-     * replay. Results are bit-identical either way (see the
-     * differential suite); only wall-clock changes.
-     */
-    void setTraceSharing(bool on) { shareTraces = on; }
 
     /** Traces the shared cache has recorded so far (see
      *  TraceCache::recordings). */
@@ -322,8 +294,9 @@ class SweepRunner
   private:
     ThreadPool pool;
     std::deque<JobRun> slots; ///< deque: stable addresses across submit()
+    /** One recording per (program, fetch cap), shared by every job
+     *  that replays one (see runJob). */
     TraceCache traces;
-    bool shareTraces = true;
     RetryPolicy retryPolicy;
 };
 
@@ -331,30 +304,20 @@ class SweepRunner
  * Aggregate the per-run manifests captured by a sweep (jobs submitted
  * with RunOptions::captureManifest) into one sweep-level JSON
  * document ("ddsim-sweep-manifest-v1"): generator provenance, the
- * sweep title, and a "runs" array holding each run's full manifest in
- * submission order. Results without a captured manifest appear as
- * null entries so indices still line up with the submission grid.
- */
-void writeSweepManifest(const std::string &title,
-                        const std::vector<SimResult> &results,
-                        std::ostream &os);
-
-/** writeSweepManifest into a file, atomically; raises IoError if
- *  unwritable. */
-void writeSweepManifestFile(const std::string &title,
-                            const std::vector<SimResult> &results,
-                            const std::string &path);
-
-/**
- * Sweep manifest for a fault-isolated sweep: the same document plus
- * `"degraded"`, quarantine/recovery counts, and a `"jobs"` array with
- * each job's status, attempt count and classified error. A degraded
- * sweep still validates — downstream tooling sees exactly which
- * points are missing instead of getting no manifest at all.
+ * sweep title, `"degraded"`, quarantine/recovery counts, a `"jobs"`
+ * array with each job's status, attempt count and classified error,
+ * and a `"runs"` array holding each run's full manifest in submission
+ * order. Results without a captured manifest (quarantined points
+ * among them) appear as null entries so indices still line up with
+ * the submission grid. A degraded sweep still validates — downstream
+ * tooling sees exactly which points are missing instead of getting
+ * no manifest at all.
  */
 void writeSweepManifest(const std::string &title,
                         const SweepOutcome &outcome, std::ostream &os);
 
+/** writeSweepManifest into a file, atomically; raises IoError if
+ *  unwritable. */
 void writeSweepManifestFile(const std::string &title,
                             const SweepOutcome &outcome,
                             const std::string &path);

@@ -410,7 +410,7 @@ convertTextTraceBuffer(const std::string &buf, const std::string &path,
     for (std::uint32_t p = 0; p < numPcs; ++p) {
         if (isa::isMem(hinted[p].op))
             hinted[p].localHint =
-                ext->verdicts()[p] == XVerdict::Local;
+                ext->verdicts()[p] == isa::Verdict::Local;
     }
     return ExternalTrace::make(buildProgram(hinted), xrecs, "text",
                                /*hintsValid=*/true);

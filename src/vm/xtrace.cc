@@ -405,7 +405,7 @@ void
 ExternalTrace::annotate()
 {
     const std::size_t textCount = prog_->textSize();
-    verdicts_.assign(textCount, XVerdict::Ambiguous);
+    verdicts_.assign(textCount, isa::Verdict::Ambiguous);
 
     // Per-pc dynamic evidence: how many accesses executed, and how
     // many of them the sp-tracking + oracle pair unanimously calls
@@ -481,23 +481,23 @@ ExternalTrace::annotate()
             continue;
         ++annotation_.memPcs;
         const Acc &a = acc[pc];
-        XVerdict v = XVerdict::Ambiguous;
+        isa::Verdict v = isa::Verdict::Ambiguous;
         if (a.n == 0) {
             // Never executed in this trace: fall back to the static
             // screen — a plain sp/fp base is safely local, anything
             // else stays ambiguous (the predictor carries it).
             if (isa::isStackBase(inst.rs))
-                v = XVerdict::Local;
+                v = isa::Verdict::Local;
         } else if (a.localOk == a.n) {
-            v = XVerdict::Local;
+            v = isa::Verdict::Local;
         } else if (a.nonLocalOk == a.n) {
-            v = XVerdict::NonLocal;
+            v = isa::Verdict::NonLocal;
         }
         verdicts_[pc] = v;
         switch (v) {
-          case XVerdict::Local: ++annotation_.localPcs; break;
-          case XVerdict::NonLocal: ++annotation_.nonLocalPcs; break;
-          case XVerdict::Ambiguous: ++annotation_.ambiguousPcs; break;
+          case isa::Verdict::Local: ++annotation_.localPcs; break;
+          case isa::Verdict::NonLocal: ++annotation_.nonLocalPcs; break;
+          case isa::Verdict::Ambiguous: ++annotation_.ambiguousPcs; break;
         }
     }
 }

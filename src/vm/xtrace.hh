@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/inst.hh"
 #include "util/types.hh"
 #include "vm/trace.hh"
 
@@ -62,19 +63,6 @@ inline constexpr char kXtraceMagic[8] = {'d', 'd', 'x', 't',
                                          'r', 'a', 'c', '1'};
 /** Header flag: localHint bits in the text segment are trustworthy. */
 inline constexpr std::uint64_t kXtraceFlagHintsValid = 1;
-
-/**
- * Per-pc verdict of the ingest annotation pass. Mirrors
- * core::StaticVerdict value-for-value (vm cannot depend on core; the
- * runner translates by numeric value).
- */
-enum class XVerdict : std::uint8_t
-{
-    Ambiguous,  ///< Conflicting or missing evidence.
-    Local,      ///< Every access had a stack-derived base and a
-                ///< stack-region address.
-    NonLocal,   ///< Every access had a non-stack base and address.
-};
 
 /** Summary of the annotation pass over one external trace. */
 struct XAnnotation
@@ -178,8 +166,16 @@ class ExternalTrace
 
     std::uint64_t instCount() const { return trace_.instCount(); }
 
-    /** Per-pc annotation verdicts, indexed by text word index. */
-    const std::vector<XVerdict> &verdicts() const { return verdicts_; }
+    /**
+     * Per-pc annotation verdicts, indexed by text word index: Local
+     * when every access had a stack-derived base and a stack-region
+     * address, NonLocal when every access had a non-stack base and
+     * address, Ambiguous on conflicting or missing evidence.
+     */
+    const std::vector<isa::Verdict> &verdicts() const
+    {
+        return verdicts_;
+    }
     const XAnnotation &annotation() const { return annotation_; }
 
     /** File this trace came from ("" for in-memory builds). */
@@ -196,7 +192,7 @@ class ExternalTrace
 
     std::shared_ptr<const prog::Program> prog_;
     RecordedTrace trace_;            ///< trace_.prog == prog_.get().
-    std::vector<XVerdict> verdicts_;
+    std::vector<isa::Verdict> verdicts_;
     XAnnotation annotation_;
     std::string path_;
     std::string format_;

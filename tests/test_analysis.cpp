@@ -694,10 +694,10 @@ crossCheck(const std::string &name, std::uint64_t scale = 10)
                 << " missing from the static classification";
             break;
         }
-        if (it->second == Verdict::Ambiguous)
+        if (it->second == isa::Verdict::Ambiguous)
             continue;
         ++out.checked;
-        bool staticLocal = it->second == Verdict::Local;
+        bool staticLocal = it->second == isa::Verdict::Local;
         if (staticLocal != di.stackAccess) {
             ++out.mismatches;
             ADD_FAILURE() << name << " @" << di.pcIdx << ": static "

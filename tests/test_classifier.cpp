@@ -119,9 +119,9 @@ TEST(Classifier, StaticHybridFollowsVerdictTable)
 {
     stats::Group root(nullptr, "");
     Classifier c(&root, ClassifierKind::StaticHybrid);
-    c.setStaticVerdicts({StaticVerdict::NonLocal,
-                         StaticVerdict::Local,
-                         StaticVerdict::Ambiguous});
+    c.setStaticVerdicts({isa::Verdict::NonLocal,
+                         isa::Verdict::Local,
+                         isa::Verdict::Ambiguous});
     // Decided pcs ignore both the hint bit and the predictor.
     EXPECT_EQ(c.classify(makeMem(true, true, reg::sp, 0)),
               Stream::Lsq);
@@ -144,7 +144,7 @@ TEST(Classifier, StaticHybridTrainsPredictorOnlyOnAmbiguous)
 {
     stats::Group root(nullptr, "");
     Classifier c(&root, ClassifierKind::StaticHybrid, 64);
-    c.setStaticVerdicts({StaticVerdict::Local});
+    c.setStaticVerdicts({isa::Verdict::Local});
     // pc 0 is statically Local but resolves non-local (a wrong static
     // verdict): counted as missteered, but it must NOT train the
     // predictor entry that ambiguous pc 64 aliases onto.

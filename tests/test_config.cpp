@@ -212,4 +212,25 @@ TEST(Config, ClassifierNames)
     EXPECT_STREQ(classifierName(ClassifierKind::Predictor),
                  "predictor");
     EXPECT_STREQ(classifierName(ClassifierKind::None), "none");
+
+    // Every kind round-trips through its name.
+    for (ClassifierKind k :
+         {ClassifierKind::None, ClassifierKind::Annotation,
+          ClassifierKind::SpBase, ClassifierKind::Oracle,
+          ClassifierKind::Predictor, ClassifierKind::Replicate,
+          ClassifierKind::StaticHybrid})
+        EXPECT_EQ(classifierFromName(classifierName(k)), k)
+            << classifierName(k);
+
+    // A misspelling is a ConfigError on the classifier field that
+    // suggests the closest name.
+    try {
+        classifierFromName("predictr");
+        FAIL() << "a misspelt classifier must be rejected";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.field(), "classifier");
+        EXPECT_NE(std::string(e.what()).find("did you mean 'predictor'"),
+                  std::string::npos)
+            << e.what();
+    }
 }

@@ -310,10 +310,10 @@ TEST(Manifest, SweepAggregatesRunsInOrder)
     runner.submit(prog, config::baseline(2), with);
     runner.submit(prog, config::baseline(2)); // no manifest -> null
     runner.submit(prog, config::decoupled(2, 2), with);
-    std::vector<sim::SimResult> results = runner.collect();
+    sim::SweepOutcome outcome = runner.collectOutcome();
 
     std::ostringstream ss;
-    sim::writeSweepManifest("unit sweep", results, ss);
+    sim::writeSweepManifest("unit sweep", outcome, ss);
     std::string out = ss.str();
     EXPECT_NE(out.find("\"schema\": \"ddsim-sweep-manifest-v1\""),
               std::string::npos);
@@ -381,6 +381,33 @@ TEST(ObsIntegration, SampleFileEndsAtFinalTotals)
               std::string::npos);
     EXPECT_NE(out.find(format("%llu", (unsigned long long)r.cycles)),
               std::string::npos);
+}
+
+TEST(ObsIntegration, SampleOptionsWithoutIntervalAreRejected)
+{
+    // With the sampler off (interval 0) a sample file would never be
+    // written and a filter would select nothing: the run says so.
+    auto prog = program("li", 5);
+    sim::RunOptions withPath;
+    withPath.samplePath = tempPath("never_written.json");
+    try {
+        sim::run(prog, config::baseline(2), withPath);
+        FAIL() << "a sample path without an interval must be rejected";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.field(), "sample_interval");
+    }
+    EXPECT_FALSE(std::ifstream(withPath.samplePath).good());
+
+    sim::RunOptions withFilter;
+    withFilter.sampleFilter = "cpu.committed";
+    EXPECT_THROW(sim::run(prog, config::baseline(2), withFilter),
+                 ConfigError);
+
+    // An interval without a path stays legal: the sampler runs and
+    // nothing is written.
+    sim::RunOptions intervalOnly;
+    intervalOnly.sampleInterval = 5000;
+    EXPECT_NO_THROW(sim::run(prog, config::baseline(2), intervalOnly));
 }
 
 TEST(ObsIntegration, VersionStringsAreNonEmpty)

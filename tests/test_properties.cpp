@@ -128,7 +128,7 @@ TEST_P(RandomProgram, SweepMatchesConsecutiveSerialRuns)
     SweepRunner sweep(4);
     for (const config::MachineConfig &cfg : cfgs)
         sweep.submit(p, cfg);
-    std::vector<SimResult> swept = sweep.collect();
+    std::vector<SimResult> swept = sweep.collectOutcome().results;
     ASSERT_EQ(swept.size(), 3u);
 
     for (std::size_t i = 0; i < 3; ++i) {

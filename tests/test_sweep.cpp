@@ -3,7 +3,7 @@
  * SweepRunner determinism suite: a parallel sweep must be
  * indistinguishable from the serial loop it replaces — same results,
  * same order, for any worker count — plus in-order delivery,
- * per-job exception propagation, degenerate grids, the ThreadPool
+ * per-job failure quarantine, degenerate grids, the ThreadPool
  * primitive underneath, and thread-safety regression tests meant to
  * run under TSan (ctest label "sweep", -DDDSIM_SANITIZE=thread).
  */
@@ -105,8 +105,10 @@ TEST(Sweep, MatchesSerialLoopForAnyWorkerCount)
         serial.push_back(run(*job.program, job.cfg, job.opts));
 
     for (unsigned workers : {1u, 2u, 8u}) {
-        std::vector<SimResult> swept =
-            SweepRunner::runAll(jobs, workers);
+        SweepRunner sweep(workers);
+        for (const SweepJob &job : jobs)
+            sweep.submit(job);
+        std::vector<SimResult> swept = sweep.collectOutcome().results;
         ASSERT_EQ(swept.size(), serial.size()) << workers;
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("workers=" + std::to_string(workers) +
@@ -128,7 +130,7 @@ TEST(Sweep, ResultsArriveInSubmissionOrder)
     sweep.submit(light, config::baseline(1));
     sweep.submit(heavy, config::baseline(2));
     sweep.submit(light, config::decoupled(2, 1));
-    std::vector<SimResult> results = sweep.collect();
+    std::vector<SimResult> results = sweep.collectOutcome().results;
 
     ASSERT_EQ(results.size(), 4u);
     EXPECT_EQ(results[0].program, "vortex");
@@ -145,7 +147,7 @@ TEST(Sweep, EmptyGridCollectsNothing)
 {
     SweepRunner sweep(2);
     EXPECT_EQ(sweep.pending(), 0u);
-    EXPECT_TRUE(sweep.collect().empty());
+    EXPECT_TRUE(sweep.collectOutcome().results.empty());
 }
 
 TEST(Sweep, SingleJobGrid)
@@ -153,13 +155,13 @@ TEST(Sweep, SingleJobGrid)
     auto program = sharedWorkload("li");
     SweepRunner sweep(1);
     EXPECT_EQ(sweep.submit(program, config::baseline(2)), 0u);
-    std::vector<SimResult> results = sweep.collect();
+    std::vector<SimResult> results = sweep.collectOutcome().results;
     ASSERT_EQ(results.size(), 1u);
     SimResult serial = run(*program, config::baseline(2));
     expectIdentical(results[0], serial);
 }
 
-TEST(Sweep, JobExceptionRethrownAtCollection)
+TEST(Sweep, FailedJobQuarantinedAtCollection)
 {
     setQuiet(true);
     auto program = sharedWorkload("li");
@@ -171,16 +173,25 @@ TEST(Sweep, JobExceptionRethrownAtCollection)
     sweep.submit(program, config::baseline(1));
     sweep.submit(program, bad);
     sweep.submit(program, config::baseline(2));
-    EXPECT_THROW(sweep.collect(), FatalError);
+    SweepOutcome out = sweep.collectOutcome();
     setQuiet(false);
+
+    ASSERT_EQ(out.jobs.size(), 3u);
+    EXPECT_EQ(out.jobs[0].status, JobStatus::Ok);
+    EXPECT_EQ(out.jobs[1].status, JobStatus::Quarantined);
+    EXPECT_EQ(out.jobs[1].error.kind, "config");
+    EXPECT_NE(out.jobs[1].error.message.find("ROB"), std::string::npos);
+    EXPECT_TRUE(out.results[1].quarantined);
+    EXPECT_EQ(out.jobs[2].status, JobStatus::Ok);
+    EXPECT_EQ(out.numQuarantined, 1u);
 
     // The failed grid is cleared: the runner is reusable afterwards.
     EXPECT_EQ(sweep.pending(), 0u);
     sweep.submit(program, config::baseline(1));
-    EXPECT_EQ(sweep.collect().size(), 1u);
+    EXPECT_EQ(sweep.collectOutcome().results.size(), 1u);
 }
 
-TEST(Sweep, EarliestOfSeveralFailuresWins)
+TEST(Sweep, EachFailedJobKeepsItsOwnError)
 {
     setQuiet(true);
     auto program = sharedWorkload("li", 64);
@@ -194,14 +205,18 @@ TEST(Sweep, EarliestOfSeveralFailuresWins)
     sweep.submit(program, config::baseline(1));
     sweep.submit(program, badRob);
     sweep.submit(program, badLsq);
-    try {
-        sweep.collect();
-        FAIL() << "collect() should have thrown";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("ROB"),
-                  std::string::npos);
-    }
+    SweepOutcome out = sweep.collectOutcome();
     setQuiet(false);
+
+    ASSERT_EQ(out.jobs.size(), 3u);
+    EXPECT_EQ(out.jobs[0].status, JobStatus::Ok);
+    EXPECT_EQ(out.jobs[1].status, JobStatus::Quarantined);
+    EXPECT_EQ(out.jobs[1].error.kind, "config");
+    EXPECT_NE(out.jobs[1].error.message.find("ROB"), std::string::npos);
+    EXPECT_EQ(out.jobs[2].status, JobStatus::Quarantined);
+    EXPECT_EQ(out.jobs[2].error.kind, "config");
+    EXPECT_NE(out.jobs[2].error.message.find("LSQ"), std::string::npos);
+    EXPECT_EQ(out.numQuarantined, 2u);
 }
 
 TEST(Sweep, ReusableAcrossRounds)
@@ -210,13 +225,13 @@ TEST(Sweep, ReusableAcrossRounds)
     SweepRunner sweep(2);
 
     sweep.submit(program, config::baseline(1));
-    std::vector<SimResult> first = sweep.collect();
+    std::vector<SimResult> first = sweep.collectOutcome().results;
     ASSERT_EQ(first.size(), 1u);
 
     // Indices restart at 0 for the next grid.
     EXPECT_EQ(sweep.submit(program, config::baseline(2)), 0u);
     sweep.submit(program, config::decoupled(2, 2));
-    std::vector<SimResult> second = sweep.collect();
+    std::vector<SimResult> second = sweep.collectOutcome().results;
     ASSERT_EQ(second.size(), 2u);
     EXPECT_EQ(second[0].notation, "(2+0)");
     EXPECT_EQ(second[1].notation, "(2+2)");
@@ -255,7 +270,7 @@ TEST(Sweep, SharedProgramAcrossConcurrentRunsIsRaceFree)
     for (int i = 0; i < 16; ++i)
         sweep.submit(program, config::decoupledOptimized(2 + i % 3,
                                                          1 + i % 2));
-    std::vector<SimResult> results = sweep.collect();
+    std::vector<SimResult> results = sweep.collectOutcome().results;
     for (std::size_t i = 1; i < results.size(); ++i)
         EXPECT_EQ(results[i].committed, results[0].committed);
 }
@@ -287,21 +302,26 @@ TEST(Sweep, TraceCacheRecordsEachKeyOnceUnderContention)
 TEST(Sweep, TraceSharingDoesNotChangeGridResults)
 {
     // The headline replay guarantee at the sweep level: the same grid
-    // with trace sharing off (every job executes the program live)
-    // and on (one recording per program, shared replay) must produce
-    // bit-identical results in the same order.
+    // on the live engine (every job executes the program, no trace is
+    // shared) and on the default engine (one recording per program,
+    // shared replay) must produce bit-identical results in the same
+    // order.
     std::vector<SweepJob> jobs = determinismGrid();
 
     SweepRunner live(4);
-    live.setTraceSharing(false);
-    for (const SweepJob &job : jobs)
-        live.submit(job);
-    std::vector<SimResult> liveResults = live.collect();
+    for (SweepJob job : jobs) {
+        job.opts.engine = Engine::Live;
+        live.submit(std::move(job));
+    }
+    std::vector<SimResult> liveResults = live.collectOutcome().results;
+    EXPECT_EQ(live.traceRecordings(), 0u);
 
-    SweepRunner shared(4); // shareTraces defaults to on
+    SweepRunner shared(4);
     for (const SweepJob &job : jobs)
         shared.submit(job);
-    std::vector<SimResult> sharedResults = shared.collect();
+    std::vector<SimResult> sharedResults =
+        shared.collectOutcome().results;
+    EXPECT_EQ(shared.traceRecordings(), 4u); // one per program
 
     ASSERT_EQ(liveResults.size(), sharedResults.size());
     for (std::size_t i = 0; i < liveResults.size(); ++i) {
@@ -325,7 +345,7 @@ TEST(Sweep, LiveEngineRecordsNoTraces)
     SweepRunner sweep(4);
     for (const SweepJob &job : jobs)
         sweep.submit(job);
-    std::vector<SimResult> results = sweep.collect();
+    std::vector<SimResult> results = sweep.collectOutcome().results;
     EXPECT_EQ(sweep.traceRecordings(), 0u);
     ASSERT_EQ(results.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -399,7 +419,7 @@ TEST(Sweep, TraceCacheBudgetDoesNotChangeGridResults)
     sweep.setTraceCacheBudget(1);
     for (const SweepJob &job : jobs)
         sweep.submit(job);
-    std::vector<SimResult> swept = sweep.collect();
+    std::vector<SimResult> swept = sweep.collectOutcome().results;
     ASSERT_EQ(swept.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("job=" + std::to_string(i));

@@ -456,6 +456,16 @@ class SweepManifestChecks(unittest.TestCase):
         with self.assertRaises(vm.Invalid):
             vm.check_sweep_manifest(doc, "sweep")
 
+    def test_rejects_sweep_without_job_table(self):
+        # One writer emits every sweep manifest, always with the job
+        # table; a document without it is not one of ours.
+        doc = self.sweep_doc()
+        for key in ("degraded", "num_quarantined", "num_recovered",
+                    "jobs"):
+            del doc[key]
+        with self.assertRaises(vm.Invalid):
+            vm.check_sweep_manifest(doc, "sweep")
+
 
 def sealed(schema, payload_key, payload):
     """Render a CRC-sealed spool artifact the way the C++ writer does:

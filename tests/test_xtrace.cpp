@@ -259,16 +259,15 @@ TEST(TraceEngines, SweepRunnerRunsExternalColumns)
     auto xt = vm::ExternalTrace::loadCached(saved);
     const config::MachineConfig cfgs[] = {config::decoupled(2, 1),
                                           config::decoupled(2, 2)};
-    std::vector<sim::SweepJob> jobs;
+    sim::SweepRunner sweep(2);
     for (const config::MachineConfig &cfg : cfgs) {
         sim::SweepJob job;
         job.program = xt->sharedProgram();
         job.cfg = cfg;
         job.opts.externalTrace = xt;
-        jobs.push_back(std::move(job));
+        sweep.submit(std::move(job));
     }
-    std::vector<sim::SimResult> results =
-        sim::SweepRunner::runAll(std::move(jobs), 2);
+    std::vector<sim::SimResult> results = sweep.collectOutcome().results;
     ASSERT_EQ(results.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         sim::SimResult one = runTrace(xt, cfgs[i]);

@@ -30,7 +30,8 @@
  *            merge refuses to splice them (resume re-runs them).
  *   serial   --grid=F --merged=F [--workers=N]
  *            In-process SweepRunner reference over the same grid: the
- *            document `run` must reproduce byte-for-byte.
+ *            document `run` must reproduce byte-for-byte, and the one
+ *            a bench writes with --manifest for the grid it emits.
  *   status   --spool=DIR
  *            Print progress plus, per in-flight claim, lease age and
  *            heartbeat freshness; exit 0 when complete, 3 when not.

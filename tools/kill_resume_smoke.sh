@@ -101,12 +101,19 @@ python3 "$VALIDATE" run.json sweep.json
 # atomically, so killing the supervisor and all its workers at any
 # instant leaves a spool that `ddsweep resume` completes by re-running
 # only the missing points — and the merged manifest comes out
-# byte-identical to an uninterrupted single-process reference.
-rm -rf spool grid.json ref.json
+# byte-identical to an uninterrupted single-process reference. The
+# bench runs its own grid through that same reference path, so its
+# --manifest must be the reference, byte for byte.
+rm -rf spool grid.json ref.json bench.json
 "$GRIDBENCH" --programs=li,compress --scale=0.2 \
     --emit-grid=grid.json > /dev/null
 python3 "$VALIDATE" grid.json
 "$DDSWEEP" serial --grid=grid.json --merged=ref.json > /dev/null
+"$GRIDBENCH" --programs=li,compress --scale=0.2 \
+    --manifest=bench.json > /dev/null
+cmp ref.json bench.json \
+    || fail "bench manifest differs from ddsweep serial on its grid"
+echo "  bench --manifest matched ddsweep serial on its --emit-grid"
 
 # Run the farm in its own process group and SIGKILL the whole group
 # (supervisor + both workers) mid-grid.

@@ -5,7 +5,7 @@ box, or ddlint verdict export.
 
 Stdlib-only. Checks schema identifiers, required fields, and internal
 consistency (IPC = committed/cycles, per-stream counts are integers,
-stat tree shape, degraded-sweep job tables, black-box error reports,
+stat tree shape, sweep job tables, black-box error reports,
 dense grid-spec job ids, engine selectors and sampled-engine plans /
 error-bar blocks, farm shard provenance covering every job id exactly
 once, lint verdict enums and mix totals vs the per-program verdict
@@ -176,7 +176,7 @@ def check_error(err, where):
 
 
 def check_job_table(doc, where):
-    """Fault-isolated sweeps carry a per-job status table; its counts
+    """Every sweep manifest carries a per-job status table; its counts
     must agree with the "degraded" flag and the runs array."""
     jobs = need(doc, "jobs", list, where)
     if len(jobs) != len(doc["runs"]):
@@ -228,8 +228,7 @@ def check_sweep_manifest(doc, where):
     if need(doc, "num_runs", int, where) != len(runs):
         raise Invalid(f"{where}: num_runs {doc['num_runs']} != "
                       f"len(runs) {len(runs)}")
-    if "jobs" in doc or "degraded" in doc:
-        check_job_table(doc, where)
+    check_job_table(doc, where)
     checked = 0
     for i, run in enumerate(runs):
         if run is None:
